@@ -1,9 +1,12 @@
-// Package algo implements the three graph algorithms of the paper's
-// evaluation (§II-B) as tile kernels: breadth-first search, PageRank and
-// weakly connected components. Each algorithm exposes the metadata hooks
-// the engine needs for selective fetching (§V-B) and proactive caching
-// (§VI-C): which tiles it needs this iteration and which it predicts it
-// will need next iteration.
+// Package algo implements the graph algorithms the engine ships as edge
+// kernels: the three of the paper's evaluation (§II-B) — breadth-first
+// search, PageRank and weakly connected components — plus asynchronous
+// BFS, multi-source BFS, personalized PageRank and strongly connected
+// components. A kernel never sees tile bytes: the engine decodes every
+// tile (whatever its codec) and hands the kernel batches of full-ID edges.
+// Each algorithm also exposes the metadata hooks the engine needs for
+// selective fetching (§V-B) and proactive caching (§VI-C): which tiles it
+// needs this iteration and which it predicts it will need next iteration.
 package algo
 
 import (
@@ -19,53 +22,31 @@ type Context struct {
 	Layout      *grid.Layout
 	Directed    bool
 	// Half reports upper-triangle (symmetry) storage: kernels must then
-	// process every tuple in both directions (Algorithm 1 in the paper).
+	// process every edge in both directions (Algorithm 1 in the paper).
 	Half bool
-	// SNB reports the tuple encoding of the data handed to ProcessTile.
-	// Retained for the fixed-width fast paths; Codec is authoritative.
-	SNB bool
-	// Codec is the tuple codec of the data handed to ProcessTile /
-	// ProcessTileChunk. Kernels keep inline SNB/raw decode loops for the
-	// fixed-width codecs and fall back to the closure-based block
-	// decoder for CodecV3.
-	Codec tile.Codec
 	// Degrees supplies vertex degrees; nil unless the graph was converted
 	// with degree output. PageRank requires it.
 	Degrees tile.DegreeSource
-	// Workers is the number of engine worker goroutines that will call
-	// ProcessTileChunk, each with a stable ID in [0, Workers). Kernels
-	// implementing ChunkedAlgorithm size their per-worker state from it.
-	// Zero means the caller only uses ProcessTile (in-memory mode, tests).
+	// Workers is the number of goroutines that will call ProcessEdges,
+	// each with a stable ID in [0, Workers). Kernels size their
+	// per-worker state from it; it must be at least 1.
 	Workers int
 }
 
 func (c *Context) validate() error {
-	if c.NumVertices == 0 || c.Layout == nil {
+	if c.NumVertices == 0 || c.Layout == nil || c.Workers < 1 {
 		return fmt.Errorf("algo: incomplete context")
 	}
 	return nil
 }
 
-// codec reconciles the Codec and legacy SNB fields: contexts built
-// without an explicit Codec (zero value CodecSNB) defer to the SNB flag
-// for the snb/raw choice, so old constructors keep working.
-func (c *Context) codec() tile.Codec {
-	if c.Codec == tile.CodecV3 {
-		return tile.CodecV3
-	}
-	if c.SNB {
-		return tile.CodecSNB
-	}
-	return tile.CodecRaw
-}
-
-// Algorithm is the engine-facing interface of a tile kernel.
+// Algorithm is the engine-facing interface of an edge kernel.
 //
 // The engine guarantees: Init once; then for each iteration a
-// BeforeIteration call, any number of concurrent ProcessTile calls (from
+// BeforeIteration call, any number of concurrent ProcessEdges calls (from
 // multiple goroutines), then one AfterIteration call. NeedTileThisIter is
 // only called between AfterIteration and the next iteration's processing;
-// NeedTileNextIter may be called concurrently with ProcessTile (it reads
+// NeedTileNextIter may be called concurrently with ProcessEdges (it reads
 // partially accumulated next-iteration metadata, which is exactly the
 // paper's "partial information" caching, §VI-C Rule 2).
 type Algorithm interface {
@@ -75,10 +56,20 @@ type Algorithm interface {
 	Init(ctx *Context) error
 	// BeforeIteration prepares iteration iter (0-based).
 	BeforeIteration(iter int)
-	// ProcessTile consumes the tuples of tile (row, col). data holds
-	// whole tuples in the encoding announced by Context.SNB. Safe for
-	// concurrent invocation on distinct tiles.
-	ProcessTile(row, col uint32, data []byte)
+	// ProcessEdges consumes one batch of edges of tile (row, col) on
+	// behalf of worker (0 <= worker < Context.Workers): edge i runs from
+	// src[i] to dst[i], both full vertex IDs, and len(src) == len(dst) is
+	// at most tile.V3BlockTuples. The slices are the caller's scratch and
+	// are overwritten after the call returns.
+	//
+	// Over an iteration the batches of a tile partition its edges, and
+	// batches of one tile — like tiles sharing a vertex range — may be
+	// processed concurrently by different workers, so updates to shared
+	// metadata must be atomic. Two calls with the same worker ID never run
+	// concurrently, so state indexed by worker needs no synchronization
+	// (FlashGraph per-thread partitioning; BigSparse merge-reduce); it is
+	// reduced in AfterIteration, after every batch of the iteration.
+	ProcessEdges(worker int, row, col uint32, src, dst []uint32)
 	// AfterIteration finishes iteration iter and reports convergence.
 	AfterIteration(iter int) (done bool)
 	// NeedTileThisIter reports whether tile (row, col) must be processed
@@ -90,49 +81,4 @@ type Algorithm interface {
 	// MetadataBytes reports the memory the algorithm's metadata occupies
 	// (the paper's Table III memory accounting).
 	MetadataBytes() int64
-}
-
-// ChunkedAlgorithm is the optional contention-free extension of
-// Algorithm. Engines that partition tiles into tuple-aligned chunks call
-// ProcessTileChunk instead of ProcessTile, handing every call a stable
-// worker ID so the kernel can accumulate into per-worker state (FlashGraph
-// per-thread partitioning; BigSparse merge-reduce) and batch shared-metadata
-// updates per chunk instead of per edge.
-//
-// Contract: a chunk is a whole number of tuples from a single tile
-// (row, col); the union of a tile's chunks is exactly its data; chunks of
-// one tile may be processed concurrently by different workers. Two calls
-// with the same worker ID never run concurrently. Reduction of per-worker
-// state happens in AfterIteration, after every chunk of the iteration is
-// done.
-type ChunkedAlgorithm interface {
-	Algorithm
-	// ProcessTileChunk consumes one tuple-aligned slice of tile
-	// (row, col)'s data on behalf of worker (0 <= worker <
-	// Context.Workers). Safe for concurrent invocation with distinct
-	// worker IDs, including on chunks of the same tile.
-	ProcessTileChunk(worker int, row, col uint32, data []byte)
-}
-
-// decodeLoop iterates tuples of a tile without a closure per edge for the
-// fixed-width codecs. Kernels inline their own loops for the hot path;
-// this helper is used by tests and non-critical paths. V3 data always
-// goes through the closure-based block decoder (the engine verified the
-// tile's CRC before dispatch, so decode errors are ignored here — fsck
-// and Verify surface them with context).
-func decodeLoop(c tile.Codec, rowBase, colBase uint32, data []byte, fn func(src, dst uint32)) {
-	switch c {
-	case tile.CodecSNB:
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			s, d := tile.GetSNB(data[i:])
-			fn(rowBase+uint32(s), colBase+uint32(d))
-		}
-	case tile.CodecV3:
-		_ = tile.DecodeV3(data, rowBase, colBase, fn)
-	default:
-		for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-			s, d := tile.GetRaw(data[i:])
-			fn(s, d)
-		}
-	}
 }

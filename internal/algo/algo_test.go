@@ -39,8 +39,8 @@ func load(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions) *memGraph 
 		Layout:      g.Layout,
 		Directed:    g.Meta.Directed,
 		Half:        g.Meta.Half,
-		SNB:         g.Meta.SNB,
 		Degrees:     deg,
+		Workers:     testWorkers,
 	}
 	for i := 0; i < g.Layout.NumTiles(); i++ {
 		data, err := g.ReadTile(i, nil)
@@ -52,33 +52,60 @@ func load(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions) *memGraph 
 	return mg
 }
 
+// testWorkers is the worker count the mini-engine announces to kernels
+// and uses for parallel runs.
+const testWorkers = 4
+
+// feed decodes one tile and hands the kernel its edges in batches on
+// behalf of worker, the way the engine's workers do.
+func feed(t testing.TB, a Algorithm, worker int, g *tile.Graph, row, col uint32, data []byte) {
+	rowBase, _ := g.Layout.VertexRange(row)
+	colBase, _ := g.Layout.VertexRange(col)
+	var src, dst [tile.V3BlockTuples]uint32
+	for len(data) > 0 {
+		n, rest, err := tile.DecodeBlock(data, g.Meta.TupleCodec(), rowBase, colBase, &src, &dst)
+		if err != nil {
+			t.Errorf("tile (%d, %d): %v", row, col, err)
+			return
+		}
+		a.ProcessEdges(worker, row, col, src[:n], dst[:n])
+		data = rest
+	}
+}
+
 // run drives an algorithm the way the engine does: iterate, process the
-// tiles the kernel asks for (concurrently when parallel is set), stop at
-// convergence. It returns the iteration count and verifies that skipped
-// tiles were genuinely unneeded by re-checking against a full pass.
+// tiles the kernel asks for (on testWorkers concurrent workers when
+// parallel is set), stop at convergence. It returns the iteration count.
 func (mg *memGraph) run(t *testing.T, a Algorithm, parallel bool, maxIter int) int {
 	t.Helper()
 	if err := a.Init(mg.ctx); err != nil {
 		t.Fatal(err)
 	}
+	workers := 1
+	if parallel {
+		workers = testWorkers
+	}
 	for iter := 0; iter < maxIter; iter++ {
 		a.BeforeIteration(iter)
+		work := make(chan int)
 		var wg sync.WaitGroup
-		for i, data := range mg.tiles {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range work {
+					c := mg.g.Layout.CoordAt(i)
+					feed(t, a, w, mg.g, c.Row, c.Col, mg.tiles[i])
+				}
+			}(w)
+		}
+		for i := range mg.tiles {
 			c := mg.g.Layout.CoordAt(i)
-			if !a.NeedTileThisIter(c.Row, c.Col) {
-				continue
-			}
-			if parallel {
-				wg.Add(1)
-				go func(row, col uint32, d []byte) {
-					defer wg.Done()
-					a.ProcessTile(row, col, d)
-				}(c.Row, c.Col, data)
-			} else {
-				a.ProcessTile(c.Row, c.Col, data)
+			if a.NeedTileThisIter(c.Row, c.Col) {
+				work <- i
 			}
 		}
+		close(work)
 		wg.Wait()
 		if a.AfterIteration(iter) {
 			return iter + 1
@@ -184,7 +211,7 @@ func TestBFSSelectiveSkipsTiles(t *testing.T) {
 				continue
 			}
 			needed++
-			b.ProcessTile(c.Row, c.Col, data)
+			feed(t, b, 0, mg.g, c.Row, c.Col, data)
 		}
 		if b.AfterIteration(iter) {
 			break
@@ -370,7 +397,7 @@ func TestQuickBFSEquivalence(t *testing.T) {
 		defer g.Close()
 		mg := &memGraph{g: g, ctx: &Context{
 			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
+			Directed: g.Meta.Directed, Half: g.Meta.Half, Workers: testWorkers,
 		}}
 		for i := 0; i < g.Layout.NumTiles(); i++ {
 			data, err := g.ReadTile(i, nil)
@@ -381,28 +408,7 @@ func TestQuickBFSEquivalence(t *testing.T) {
 		}
 		root := uint32(rawRoot) % el.NumVertices
 		b := NewBFS(root)
-		if err := b.Init(mg.ctx); err != nil {
-			return false
-		}
-		for iter := 0; iter < 1<<16; iter++ {
-			b.BeforeIteration(iter)
-			var wg sync.WaitGroup
-			for i, data := range mg.tiles {
-				c := g.Layout.CoordAt(i)
-				if !b.NeedTileThisIter(c.Row, c.Col) {
-					continue
-				}
-				wg.Add(1)
-				go func(row, col uint32, d []byte) {
-					defer wg.Done()
-					b.ProcessTile(row, col, d)
-				}(c.Row, c.Col, data)
-			}
-			wg.Wait()
-			if b.AfterIteration(iter) {
-				break
-			}
-		}
+		mg.run(t, b, true, 1<<16)
 		want := graph.RefBFS(graph.NewCSR(el, false), root)
 		for v, d := range b.Depths() {
 			if d != want[v] {
@@ -430,7 +436,7 @@ func TestQuickWCCEquivalence(t *testing.T) {
 		defer g.Close()
 		mg := &memGraph{g: g, ctx: &Context{
 			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
+			Directed: g.Meta.Directed, Half: g.Meta.Half, Workers: testWorkers,
 		}}
 		for i := 0; i < g.Layout.NumTiles(); i++ {
 			data, err := g.ReadTile(i, nil)
@@ -440,22 +446,7 @@ func TestQuickWCCEquivalence(t *testing.T) {
 			mg.tiles = append(mg.tiles, append([]byte(nil), data...))
 		}
 		w := NewWCC()
-		if err := w.Init(mg.ctx); err != nil {
-			return false
-		}
-		for iter := 0; iter < 1<<16; iter++ {
-			w.BeforeIteration(iter)
-			for i, data := range mg.tiles {
-				c := g.Layout.CoordAt(i)
-				if !w.NeedTileThisIter(c.Row, c.Col) {
-					continue
-				}
-				w.ProcessTile(c.Row, c.Col, data)
-			}
-			if w.AfterIteration(iter) {
-				break
-			}
-		}
+		mg.run(t, w, false, 1<<16)
 		want := graph.RefWCC(el)
 		for v, l := range w.Labels() {
 			if l != want[v] {

@@ -3,8 +3,6 @@ package algo
 import (
 	"fmt"
 	"sync/atomic"
-
-	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 // AsyncBFS is the asynchronous (label-correcting) BFS variant the paper
@@ -78,49 +76,40 @@ func (b *AsyncBFS) BeforeIteration(iter int) {
 	b.iter0 = iter == 0
 }
 
-// ProcessTile implements Algorithm.
-func (b *AsyncBFS) ProcessTile(row, col uint32, data []byte) {
-	if b.ctx.Codec == tile.CodecV3 {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			b.relax(s, d, row, col)
-		})
-		return
-	}
-	if b.ctx.SNB {
-		rb, _ := b.ctx.Layout.VertexRange(row)
-		cb, _ := b.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			b.relax(rb+uint32(so), cb+uint32(do), row, col)
+// ProcessEdges implements Algorithm. Every relaxation is an atomic min,
+// so batches of one tile are as safe to run concurrently as tiles that
+// share a vertex range; the changed counter and the two change-map bits
+// are accumulated on the stack and flushed once per batch.
+func (b *AsyncBFS) ProcessEdges(_ int, row, col uint32, src, dst []uint32) {
+	depth := b.depth
+	half := b.ctx.Half
+	var fwd, rev int64
+	for i, s := range src {
+		d := dst[i]
+		ds := atomic.LoadInt32(&depth[s])
+		dd := atomic.LoadInt32(&depth[d])
+		if ds != unreachedDepth && ds+1 < dd {
+			if atomicMinInt32(&depth[d], ds+1) {
+				fwd++
+			}
+			dd = atomic.LoadInt32(&depth[d])
 		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		b.relax(s, d, row, col)
-	}
-}
-
-func (b *AsyncBFS) relax(s, d uint32, row, col uint32) {
-	ds := atomic.LoadInt32(&b.depth[s])
-	dd := atomic.LoadInt32(&b.depth[d])
-	if ds != unreachedDepth && ds+1 < dd {
-		if atomicMinInt32(&b.depth[d], ds+1) {
-			b.nextRow.Set(col)
-			b.changed.Add(1)
+		// The reverse direction applies only under symmetry storage:
+		// directed edges are one-way.
+		if half && dd != unreachedDepth && dd+1 < ds {
+			if atomicMinInt32(&depth[s], dd+1) {
+				rev++
+			}
 		}
-		dd = atomic.LoadInt32(&b.depth[d])
 	}
-	// The reverse direction applies under symmetry storage, and also for
-	// the forward stream of directed graphs it must NOT apply (edges are
-	// one-way).
-	if b.ctx.Half && dd != unreachedDepth && dd+1 < ds {
-		if atomicMinInt32(&b.depth[s], dd+1) {
-			b.nextRow.Set(row)
-			b.changed.Add(1)
-		}
+	if fwd > 0 {
+		b.nextRow.Set(col)
+	}
+	if rev > 0 {
+		b.nextRow.Set(row)
+	}
+	if fwd+rev > 0 {
+		b.changed.Add(fwd + rev)
 	}
 }
 

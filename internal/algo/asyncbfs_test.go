@@ -88,7 +88,7 @@ func TestQuickAsyncEqualsSync(t *testing.T) {
 		defer g.Close()
 		ctx := &Context{
 			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
+			Directed: g.Meta.Directed, Half: g.Meta.Half, Workers: testWorkers,
 		}
 		var tiles [][]byte
 		for i := 0; i < g.Layout.NumTiles(); i++ {
@@ -110,7 +110,7 @@ func TestQuickAsyncEqualsSync(t *testing.T) {
 					if !a.NeedTileThisIter(co.Row, co.Col) {
 						continue
 					}
-					a.ProcessTile(co.Row, co.Col, data)
+					feed(t, a, 0, g, co.Row, co.Col, data)
 				}
 				if a.AfterIteration(iter) {
 					return true

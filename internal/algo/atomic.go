@@ -1,14 +1,11 @@
 package algo
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Atomic primitives shared by the kernels. Tiles are processed by many
-// goroutines and — because a tile touches both its row and column ranges
-// under symmetry storage — row-partitioning alone cannot make metadata
-// writes private, so the kernels use lock-free updates.
+// Atomic primitives shared by the kernels. Edge batches are processed by
+// many goroutines and — because a tile touches both its row and column
+// ranges under symmetry storage — row-partitioning alone cannot make
+// metadata writes private, so the kernels use lock-free updates.
 
 // atomicMinUint32 lowers *p to v if v is smaller. Reports whether it
 // changed the value.
@@ -20,22 +17,6 @@ func atomicMinUint32(p *uint32, v uint32) bool {
 		}
 		if atomic.CompareAndSwapUint32(p, old, v) {
 			return true
-		}
-	}
-}
-
-// atomicCASInt32 sets *p to v if it currently holds want.
-func atomicCASInt32(p *int32, want, v int32) bool {
-	return atomic.CompareAndSwapInt32(p, want, v)
-}
-
-// atomicAddFloat64 adds v to *p with a CAS loop over the bit pattern.
-func atomicAddFloat64(p *uint64, v float64) {
-	for {
-		old := atomic.LoadUint64(p)
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if atomic.CompareAndSwapUint64(p, old, next) {
-			return
 		}
 	}
 }

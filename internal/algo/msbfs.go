@@ -3,8 +3,6 @@ package algo
 import (
 	"fmt"
 	"sync/atomic"
-
-	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 // MSBFS runs up to 64 breadth-first searches concurrently in one pass
@@ -89,38 +87,20 @@ func (m *MSBFS) BeforeIteration(iter int) {
 	m.added.Store(0)
 }
 
-// ProcessTile implements Algorithm.
-func (m *MSBFS) ProcessTile(row, col uint32, data []byte) {
-	if m.ctx.Codec == tile.CodecV3 {
-		rb, _ := m.ctx.Layout.VertexRange(row)
-		cb, _ := m.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			m.advance(s, d, row, col)
-		})
-		return
-	}
-	if m.ctx.SNB {
-		rb, _ := m.ctx.Layout.VertexRange(row)
-		cb, _ := m.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			m.advance(rb+uint32(so), cb+uint32(do), row, col)
+// ProcessEdges implements Algorithm. The masks only ever gain bits and
+// every update is a CAS, so batches of one tile are as safe to run
+// concurrently as tiles that share a vertex range.
+func (m *MSBFS) ProcessEdges(_ int, row, col uint32, src, dst []uint32) {
+	half := m.ctx.Half
+	for i, s := range src {
+		d := dst[i]
+		if f := atomic.LoadUint64(&m.cur[s]) &^ atomic.LoadUint64(&m.visited[d]); f != 0 {
+			m.spread(d, f, col)
 		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		m.advance(s, d, row, col)
-	}
-}
-
-func (m *MSBFS) advance(s, d uint32, row, col uint32) {
-	if f := atomic.LoadUint64(&m.cur[s]) &^ atomic.LoadUint64(&m.visited[d]); f != 0 {
-		m.spread(d, f, col)
-	}
-	if m.ctx.Half {
-		if f := atomic.LoadUint64(&m.cur[d]) &^ atomic.LoadUint64(&m.visited[s]); f != 0 {
-			m.spread(s, f, row)
+		if half {
+			if f := atomic.LoadUint64(&m.cur[d]) &^ atomic.LoadUint64(&m.visited[s]); f != 0 {
+				m.spread(s, f, row)
+			}
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestMSBFSSharesPasses(t *testing.T) {
 					continue
 				}
 				visits++
-				a.ProcessTile(c.Row, c.Col, data)
+				feed(t, a, 0, mg.g, c.Row, c.Col, data)
 			}
 			if a.AfterIteration(iter) {
 				return visits
@@ -139,7 +139,7 @@ func TestQuickMSBFSEquivalence(t *testing.T) {
 		defer g.Close()
 		ctx := &Context{
 			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
+			Directed: g.Meta.Directed, Half: g.Meta.Half, Workers: testWorkers,
 		}
 		var tiles [][]byte
 		for i := 0; i < g.Layout.NumTiles(); i++ {
@@ -164,7 +164,7 @@ func TestQuickMSBFSEquivalence(t *testing.T) {
 				if !ms.NeedTileThisIter(c.Row, c.Col) {
 					continue
 				}
-				ms.ProcessTile(c.Row, c.Col, data)
+				feed(t, ms, 0, g, c.Row, c.Col, data)
 			}
 			if ms.AfterIteration(iter) {
 				break

@@ -3,9 +3,6 @@ package algo
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-
-	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 // PageRank is the iterative kernel of §II-B: every vertex divides its rank
@@ -29,8 +26,7 @@ type PageRank struct {
 
 	ctx      *Context
 	rank     []float64
-	next     []uint64 // float64 bits, accumulated atomically (ProcessTile path)
-	nextW    [][]float64
+	nextW    [][]float64 // one private accumulator slab per worker
 	share    []float64
 	dangling float64
 	delta    float64
@@ -60,11 +56,10 @@ func (p *PageRank) Init(ctx *Context) error {
 	p.ctx = ctx
 	n := int(ctx.NumVertices)
 	p.rank = make([]float64, n)
-	p.next = make([]uint64, n)
 	p.share = make([]float64, n)
-	// One private accumulator slab per engine worker: the chunked path
-	// adds rank shares without any atomics and AfterIteration reduces the
-	// slabs once (BigSparse-style merge-reduce).
+	// One private accumulator slab per worker: rank shares are added
+	// without any atomics and AfterIteration reduces the slabs once
+	// (BigSparse-style merge-reduce).
 	p.nextW = make([][]float64, ctx.Workers)
 	for w := range p.nextW {
 		p.nextW[w] = make([]float64, n)
@@ -81,7 +76,7 @@ func (p *PageRank) Ranks() []float64 { return p.rank }
 
 // BeforeIteration implements Algorithm: compute every vertex's outgoing
 // share rank/degree (cached so the per-edge work is one load and one
-// atomic add) and the dangling mass.
+// add) and the dangling mass.
 func (p *PageRank) BeforeIteration(int) {
 	deg := p.ctx.Degrees
 	p.dangling = 0
@@ -94,9 +89,6 @@ func (p *PageRank) BeforeIteration(int) {
 		}
 		p.share[v] = p.rank[v] / float64(d)
 	}
-	for i := range p.next {
-		p.next[i] = 0
-	}
 	for _, slab := range p.nextW {
 		for i := range slab {
 			slab[i] = 0
@@ -104,83 +96,28 @@ func (p *PageRank) BeforeIteration(int) {
 	}
 }
 
-// ProcessTile implements Algorithm.
-func (p *PageRank) ProcessTile(row, col uint32, data []byte) {
-	share := p.share
-	next := p.next
-	both := p.ctx.Half
-	if p.ctx.Codec == tile.CodecV3 {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			atomicAddFloat64(&next[d], share[s])
-			if both && s != d {
-				atomicAddFloat64(&next[s], share[d])
-			}
-		})
-		return
-	}
-	if p.ctx.SNB {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			s, d := rb+uint32(so), cb+uint32(do)
-			atomicAddFloat64(&next[d], share[s])
-			if both && s != d {
-				atomicAddFloat64(&next[s], share[d])
-			}
-		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		atomicAddFloat64(&next[d], share[s])
-		if both && s != d {
-			atomicAddFloat64(&next[s], share[d])
-		}
-	}
-}
-
-// ProcessTileChunk implements ChunkedAlgorithm: identical edge-visiting
-// order to ProcessTile, but contributions accumulate in the worker's
-// private slab — the hot path has no atomics at all. The slabs are
-// reduced once in AfterIteration.
-func (p *PageRank) ProcessTileChunk(worker int, row, col uint32, data []byte) {
+// ProcessEdges implements Algorithm: contributions accumulate in the
+// worker's private slab, so the hot path has no atomics at all.
+func (p *PageRank) ProcessEdges(worker int, _, _ uint32, src, dst []uint32) {
 	share := p.share
 	next := p.nextW[worker]
 	both := p.ctx.Half
-	if p.ctx.Codec == tile.CodecV3 {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			next[d] += share[s]
-			if both && s != d {
-				next[s] += share[d]
-			}
-		})
-		return
-	}
-	if p.ctx.SNB {
-		rb, _ := p.ctx.Layout.VertexRange(row)
-		cb, _ := p.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			s, d := rb+uint32(so), cb+uint32(do)
-			next[d] += share[s]
-			if both && s != d {
-				next[s] += share[d]
-			}
-		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
+	for i, s := range src {
+		d := dst[i]
 		next[d] += share[s]
 		if both && s != d {
 			next[s] += share[d]
 		}
 	}
+}
+
+// incoming reduces the per-worker slabs at vertex v.
+func (p *PageRank) incoming(v int) float64 {
+	sum := 0.0
+	for _, slab := range p.nextW {
+		sum += slab[v]
+	}
+	return sum
 }
 
 // AfterIteration implements Algorithm: reduce the per-worker slabs, apply
@@ -190,11 +127,7 @@ func (p *PageRank) AfterIteration(iter int) bool {
 	base := (1-damping)/n + damping*p.dangling/n
 	delta := 0.0
 	for v := range p.rank {
-		sum := math.Float64frombits(atomic.LoadUint64(&p.next[v]))
-		for _, slab := range p.nextW {
-			sum += slab[v]
-		}
-		nv := base + damping*sum
+		nv := base + damping*p.incoming(v)
 		delta += math.Abs(nv - p.rank[v])
 		p.rank[v] = nv
 	}
@@ -216,10 +149,10 @@ func (p *PageRank) NeedTileThisIter(uint32, uint32) bool { return true }
 // data would be utilized for the next iteration" (§III Observation 3).
 func (p *PageRank) NeedTileNextIter(uint32, uint32) bool { return true }
 
-// MetadataBytes implements Algorithm: rank + accumulator + share arrays,
-// the per-worker slabs, plus the degree structure.
+// MetadataBytes implements Algorithm: rank + share arrays, the per-worker
+// slabs, plus the degree structure.
 func (p *PageRank) MetadataBytes() int64 {
-	b := int64(len(p.rank))*8 + int64(len(p.next))*8 + int64(len(p.share))*8
+	b := int64(len(p.rank))*8 + int64(len(p.share))*8
 	for _, slab := range p.nextW {
 		b += int64(len(slab)) * 8
 	}

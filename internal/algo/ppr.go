@@ -3,11 +3,10 @@ package algo
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // PPR is personalized PageRank: the restart-vector variant of the
-// chunked PageRank kernel where the teleport distribution is a point
+// PageRank kernel where the teleport distribution is a point
 // mass at Root instead of uniform. Every random walk restarts at the
 // query vertex, so rank concentrates in Root's neighborhood — the
 // per-user relevance score recommendation serving wants. Dangling mass
@@ -55,11 +54,7 @@ func (p *PPR) AfterIteration(iter int) bool {
 	restart := (1 - damping) + damping*p.dangling
 	delta := 0.0
 	for v := range p.rank {
-		sum := math.Float64frombits(atomic.LoadUint64(&p.next[v]))
-		for _, slab := range p.nextW {
-			sum += slab[v]
-		}
-		nv := damping * sum
+		nv := damping * p.incoming(v)
 		if uint32(v) == p.Root {
 			nv += restart
 		}

@@ -84,53 +84,32 @@ func (s *SCC) Labels() []uint32 { return s.scc }
 // BeforeIteration implements Algorithm.
 func (s *SCC) BeforeIteration(int) { s.changed.Store(0) }
 
-// ProcessTile implements Algorithm.
-func (s *SCC) ProcessTile(row, col uint32, data []byte) {
-	if s.phase == phaseColor {
-		s.forEach(row, col, data, s.colorEdge)
-	} else {
-		s.forEach(row, col, data, s.markEdge)
-	}
-}
-
-// ProcessTileChunk implements ChunkedAlgorithm: same propagation, with
-// the shared changed counter batched into one atomic add per chunk.
-func (s *SCC) ProcessTileChunk(_ int, row, col uint32, data []byte) {
+// ProcessEdges implements Algorithm: one propagation step of the current
+// phase per edge, with the shared changed counter batched into one atomic
+// add per batch.
+func (s *SCC) ProcessEdges(_ int, _, _ uint32, src, dst []uint32) {
 	var changed int64
-	edge := s.colorEdgeQuiet
-	if s.phase == phaseMark {
-		edge = s.markEdgeQuiet
-	}
-	s.forEach(row, col, data, func(u, v uint32) {
-		if edge(u, v) {
-			changed++
+	if s.phase == phaseColor {
+		for i, u := range src {
+			if s.colorEdge(u, dst[i]) {
+				changed++
+			}
 		}
-	})
+	} else {
+		for i, u := range src {
+			if s.markEdge(u, dst[i]) {
+				changed++
+			}
+		}
+	}
 	if changed > 0 {
 		s.changed.Add(changed)
 	}
 }
 
-func (s *SCC) forEach(row, col uint32, data []byte, fn func(src, dst uint32)) {
-	decodeLoop(s.ctx.codec(), rowBase(s.ctx, row), rowBase(s.ctx, col), data, fn)
-}
-
-func rowBase(ctx *Context, t uint32) uint32 {
-	lo, _ := ctx.Layout.VertexRange(t)
-	return lo
-}
-
-// colorEdge propagates colors forward along u -> v.
-func (s *SCC) colorEdge(u, v uint32) {
-	if s.colorEdgeQuiet(u, v) {
-		s.changed.Add(1)
-	}
-}
-
-// colorEdgeQuiet is colorEdge without the shared-counter update; it
-// reports whether the edge changed v's color so chunked callers can
-// batch the accounting.
-func (s *SCC) colorEdgeQuiet(u, v uint32) bool {
+// colorEdge propagates colors forward along u -> v and reports whether
+// it changed v's color.
+func (s *SCC) colorEdge(u, v uint32) bool {
 	if s.assigned.Has(u) || s.assigned.Has(v) {
 		return false
 	}
@@ -143,14 +122,8 @@ func (s *SCC) colorEdgeQuiet(u, v uint32) bool {
 
 // markEdge propagates backward reachability within a color class: if v is
 // marked and u -> v with equal colors, u joins the root's backward set.
-func (s *SCC) markEdge(u, v uint32) {
-	if s.markEdgeQuiet(u, v) {
-		s.changed.Add(1)
-	}
-}
-
-// markEdgeQuiet is markEdge with the accounting left to the caller.
-func (s *SCC) markEdgeQuiet(u, v uint32) bool {
+// It reports whether u was newly marked.
+func (s *SCC) markEdge(u, v uint32) bool {
 	if s.assigned.Has(u) || s.assigned.Has(v) {
 		return false
 	}

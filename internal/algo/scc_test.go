@@ -110,7 +110,7 @@ func TestQuickSCCEquivalence(t *testing.T) {
 		defer g.Close()
 		ctx := &Context{
 			NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-			Directed: g.Meta.Directed, Half: g.Meta.Half, SNB: g.Meta.SNB,
+			Directed: g.Meta.Directed, Half: g.Meta.Half, Workers: testWorkers,
 		}
 		var tiles [][]byte
 		for i := 0; i < g.Layout.NumTiles(); i++ {
@@ -128,7 +128,7 @@ func TestQuickSCCEquivalence(t *testing.T) {
 			s.BeforeIteration(iter)
 			for i, data := range tiles {
 				co := g.Layout.CoordAt(i)
-				s.ProcessTile(co.Row, co.Col, data)
+				feed(t, s, 0, g, co.Row, co.Col, data)
 			}
 			if s.AfterIteration(iter) {
 				break

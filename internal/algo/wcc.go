@@ -2,8 +2,6 @@ package algo
 
 import (
 	"sync/atomic"
-
-	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 // WCC computes weakly connected components by min-label propagation
@@ -57,66 +55,26 @@ func (w *WCC) BeforeIteration(iter int) {
 	w.iter0 = iter == 0
 }
 
-// ProcessTile implements Algorithm.
-func (w *WCC) ProcessTile(row, col uint32, data []byte) {
-	if w.ctx.Codec == tile.CodecV3 {
-		rb, _ := w.ctx.Layout.VertexRange(row)
-		cb, _ := w.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, func(s, d uint32) {
-			w.hook(s, d, row, col)
-		})
-		return
-	}
-	if w.ctx.SNB {
-		rb, _ := w.ctx.Layout.VertexRange(row)
-		cb, _ := w.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			w.hook(rb+uint32(so), cb+uint32(do), row, col)
-		}
-		return
-	}
-	for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-		s, d := tile.GetRaw(data[i:])
-		w.hook(s, d, row, col)
-	}
-}
-
-// ProcessTileChunk implements ChunkedAlgorithm: the label lowering stays
-// atomic (chunks of one tile race on shared vertices), but the changed
-// counter and the two change-map bits — constant for the whole chunk —
-// are accumulated on the stack and flushed once per chunk.
-func (w *WCC) ProcessTileChunk(_ int, row, col uint32, data []byte) {
+// ProcessEdges implements Algorithm: the label lowering stays atomic
+// (batches race on shared vertices), but the changed counter and the two
+// change-map bits — constant for the whole batch — are accumulated on the
+// stack and flushed once per batch.
+func (w *WCC) ProcessEdges(_ int, row, col uint32, src, dst []uint32) {
+	labels := w.labels
 	var lowCol, lowRow int64
-	visit := func(s, d uint32) {
-		ls := atomic.LoadUint32(&w.labels[s])
-		ld := atomic.LoadUint32(&w.labels[d])
+	for i, s := range src {
+		d := dst[i]
+		ls := atomic.LoadUint32(&labels[s])
+		ld := atomic.LoadUint32(&labels[d])
 		switch {
 		case ls < ld:
-			if atomicMinUint32(&w.labels[d], ls) {
+			if atomicMinUint32(&labels[d], ls) {
 				lowCol++
 			}
 		case ld < ls:
-			if atomicMinUint32(&w.labels[s], ld) {
+			if atomicMinUint32(&labels[s], ld) {
 				lowRow++
 			}
-		}
-	}
-	if w.ctx.Codec == tile.CodecV3 {
-		rb, _ := w.ctx.Layout.VertexRange(row)
-		cb, _ := w.ctx.Layout.VertexRange(col)
-		_ = tile.DecodeV3(data, rb, cb, visit)
-	} else if w.ctx.SNB {
-		rb, _ := w.ctx.Layout.VertexRange(row)
-		cb, _ := w.ctx.Layout.VertexRange(col)
-		for i := 0; i+tile.SNBTupleBytes <= len(data); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(data[i:])
-			visit(rb+uint32(so), cb+uint32(do))
-		}
-	} else {
-		for i := 0; i+tile.RawTupleBytes <= len(data); i += tile.RawTupleBytes {
-			s, d := tile.GetRaw(data[i:])
-			visit(s, d)
 		}
 	}
 	if lowCol > 0 {
@@ -127,23 +85,6 @@ func (w *WCC) ProcessTileChunk(_ int, row, col uint32, data []byte) {
 	}
 	if lowCol+lowRow > 0 {
 		w.changed.Add(lowCol + lowRow)
-	}
-}
-
-func (w *WCC) hook(s, d uint32, row, col uint32) {
-	ls := atomic.LoadUint32(&w.labels[s])
-	ld := atomic.LoadUint32(&w.labels[d])
-	switch {
-	case ls < ld:
-		if atomicMinUint32(&w.labels[d], ls) {
-			w.nextRow.Set(col)
-			w.changed.Add(1)
-		}
-	case ld < ls:
-		if atomicMinUint32(&w.labels[s], ld) {
-			w.nextRow.Set(row)
-			w.changed.Add(1)
-		}
 	}
 }
 

@@ -1,92 +1,110 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
+	"github.com/gwu-systems/gstore/internal/tile"
 )
 
-// chunkSizes spans the interesting regimes: chunking disabled (the
-// per-tile baseline), the pathological one-SNB-tuple chunk, a few odd
-// small sizes (7 rounds down to 4), and the production default.
+// chunkSizes spans the interesting regimes: chunking disabled (one view
+// per tile), the pathological one-tuple chunk (4 bytes is one SNB tuple,
+// rounds up to one raw tuple, and cuts v3 at every decode block), a few
+// odd small sizes (7 rounds down to 4), and the production default.
 var chunkSizes = []int64{ChunkDisabled, 4, 7, 64, 1 << 10, DefaultChunkBytes}
 
-// Chunked runs must be bit-identical to the sequential in-memory
-// reference for BFS and WCC regardless of the chunk size, including
-// one-tuple chunks where every edge is its own work item.
-func TestChunkedEquivalenceBFSWCC(t *testing.T) {
-	el := kron(t, 11, 8, 21)
-	g := convert(t, el, 6, 4)
+// TestChunkedEquivalence pins every kernel against the sequential
+// in-memory references for every codec and chunk size: BFS-family, WCC
+// and SCC results exact, ranks within 1e-9. Every kernel is dispatched
+// in chunks, so at the small sizes batches of one tile race on four
+// workers — which is what -race is pointed at here.
+func TestChunkedEquivalence(t *testing.T) {
+	const iters = 10
+	el := kron(t, 10, 8, 21)
 	csr := graph.NewCSR(el, false)
-	wantDepth := graph.RefBFS(csr, 0)
+	del, err := gen.Generate(gen.TwitterLikeConfig(9, 8, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := []uint32{0, 3, 77, 500, 1023}
+	wantDepth := make([][]int32, len(roots))
+	for i, r := range roots {
+		wantDepth[i] = graph.RefBFS(csr, graph.VertexID(r))
+	}
 	wantWCC := graph.RefWCC(el)
-	for _, cb := range chunkSizes {
-		opts := smallOpts()
-		opts.ChunkBytes = cb
-		b := algo.NewBFS(0)
-		st := runAlg(t, g, opts, b)
-		for v, d := range b.Depths() {
-			if d != wantDepth[v] {
-				t.Fatalf("chunk=%d: depth[%d] = %d, want %d", cb, v, d, wantDepth[v])
-			}
-		}
-		if cb > 0 && cb < 64 && st.Chunks <= st.TilesProcessed {
-			t.Fatalf("chunk=%d: Chunks = %d not above TilesProcessed = %d", cb, st.Chunks, st.TilesProcessed)
-		}
-		w := algo.NewWCC()
-		runAlg(t, g, opts, w)
-		for v, l := range w.Labels() {
-			if l != uint32(wantWCC[v]) {
-				t.Fatalf("chunk=%d: label[%d] = %d, want %d", cb, v, l, wantWCC[v])
-			}
-		}
-	}
-}
+	wantSCC := graph.RefSCC(del)
+	wantPR := graph.RefPageRank(csr, graph.DefaultPageRank(iters))
+	wantPPR := graph.RefPersonalizedPageRank(csr, 77, graph.DefaultPageRank(iters))
 
-// Chunked PageRank accumulates into per-worker slabs reduced once per
-// iteration; the result must stay within 1e-9 of the sequential
-// reference for every chunk size.
-func TestChunkedEquivalencePageRank(t *testing.T) {
-	el := kron(t, 10, 8, 22)
-	g := convert(t, el, 6, 4)
-	iters := 10
-	want := graph.RefPageRank(graph.NewCSR(el, false), graph.DefaultPageRank(iters))
-	for _, cb := range chunkSizes {
-		opts := smallOpts()
-		opts.ChunkBytes = cb
-		p := algo.NewPageRank(iters)
-		runAlg(t, g, opts, p)
-		for v, r := range p.Ranks() {
-			if math.Abs(r-want[v]) > 1e-9 {
-				t.Fatalf("chunk=%d: rank[%d] = %v, want %v (|Δ| = %g)", cb, v, r, want[v], math.Abs(r-want[v]))
+	exact := func(t *testing.T, what string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s differs from the reference", what)
+		}
+	}
+	ranks := func(t *testing.T, got, want []float64) {
+		t.Helper()
+		for v, r := range got {
+			if d := math.Abs(r - want[v]); d > 1e-9 {
+				t.Fatalf("rank[%d] = %v, want %v (|Δ| = %g)", v, r, want[v], d)
 			}
 		}
 	}
-}
-
-// SCC's phase machine with batched change counting must agree with the
-// reference on a directed graph.
-func TestChunkedEquivalenceSCC(t *testing.T) {
-	el, err := gen.Generate(gen.TwitterLikeConfig(9, 6, 23))
-	if err != nil {
-		t.Fatal(err)
+	kernels := []struct {
+		name     string
+		directed bool
+		new      func() algo.Algorithm
+		check    func(t *testing.T, a algo.Algorithm)
+	}{
+		{"bfs", false, func() algo.Algorithm { return algo.NewBFS(0) },
+			func(t *testing.T, a algo.Algorithm) { exact(t, "depths", a.(*algo.BFS).Depths(), wantDepth[0]) }},
+		{"asyncbfs", false, func() algo.Algorithm { return algo.NewAsyncBFS(0) },
+			func(t *testing.T, a algo.Algorithm) { exact(t, "depths", a.(*algo.AsyncBFS).Depths(), wantDepth[0]) }},
+		{"msbfs", false, func() algo.Algorithm { return algo.NewMSBFS(roots) },
+			func(t *testing.T, a algo.Algorithm) {
+				for i := range roots {
+					exact(t, fmt.Sprintf("source #%d depths", i), a.(*algo.MSBFS).Depth(i), wantDepth[i])
+				}
+			}},
+		{"wcc", false, func() algo.Algorithm { return algo.NewWCC() },
+			func(t *testing.T, a algo.Algorithm) { exact(t, "labels", a.(*algo.WCC).Labels(), wantWCC) }},
+		{"scc", true, func() algo.Algorithm { return algo.NewSCC() },
+			func(t *testing.T, a algo.Algorithm) { exact(t, "labels", a.(*algo.SCC).Labels(), wantSCC) }},
+		{"pagerank", false, func() algo.Algorithm { return algo.NewPageRank(iters) },
+			func(t *testing.T, a algo.Algorithm) { ranks(t, a.(*algo.PageRank).Ranks(), wantPR) }},
+		{"ppr", false, func() algo.Algorithm { return algo.NewPPR(77, iters) },
+			func(t *testing.T, a algo.Algorithm) { ranks(t, a.(*algo.PPR).Ranks(), wantPPR) }},
 	}
-	g, err := convertDirected(t, el)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := graph.RefSCC(el)
-	for _, cb := range []int64{ChunkDisabled, 4, 1 << 10} {
-		opts := smallOpts()
-		opts.ChunkBytes = cb
-		s := algo.NewSCC()
-		runAlg(t, g, opts, s)
-		for v, l := range s.Labels() {
-			if l != uint32(want[v]) {
-				t.Fatalf("chunk=%d: scc[%d] = %d, want %d", cb, v, l, want[v])
+	for _, codec := range []string{"snb", "raw", "v3"} {
+		g := convertCodec(t, el, 6, 4, codec)
+		dg, err := tile.Convert(del, t.TempDir(), "d", tile.ConvertOptions{
+			TileBits: 7, GroupQ: 2, Codec: codec, Degrees: true, // tiles dense enough to hold several v3 blocks
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dg.Close() })
+		for _, k := range kernels {
+			for _, cb := range chunkSizes {
+				t.Run(fmt.Sprintf("%s/%s/chunk=%d", k.name, codec, cb), func(t *testing.T) {
+					opts := smallOpts()
+					opts.ChunkBytes = cb
+					a := k.new()
+					kg := g
+					if k.directed {
+						kg = dg
+					}
+					st := runAlg(t, kg, opts, a)
+					k.check(t, a)
+					if cb == 4 && st.Chunks <= st.TilesProcessed {
+						t.Fatalf("Chunks = %d not above TilesProcessed = %d", st.Chunks, st.TilesProcessed)
+					}
+				})
 			}
 		}
 	}

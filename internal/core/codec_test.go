@@ -252,7 +252,7 @@ func TestUnattributedBytesCounted(t *testing.T) {
 	live := &runState{stats: &Stats{}, ctx: context.Background(), alg: algo.NewWCC()}
 	if err := live.alg.Init(&algo.Context{
 		NumVertices: g.Meta.NumVertices, Layout: g.Layout,
-		Half: g.Meta.Half, SNB: g.Meta.SNB, Codec: g.Meta.TupleCodec(),
+		Half: g.Meta.Half, Workers: e.opts.Threads,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -62,10 +62,11 @@ type Engine struct {
 
 	work chan workItem
 	wg   sync.WaitGroup
-	// chunkBytes is Options.ChunkBytes rounded down to the graph's tuple
-	// size (0 disables intra-tile chunking).
-	chunkBytes int64
-	workers    []workerStat
+	// codec is the graph's tuple codec, resolved once: the engine hands it
+	// to the tile package's splitter, decoder and frame validator and to
+	// the delta merge, and never looks inside it.
+	codec   tile.Codec
+	workers []workerStat
 
 	// scratch holds the per-iteration planning state reused across
 	// iterations and runs; only the (single) sweep driver touches it.
@@ -89,11 +90,10 @@ type Engine struct {
 // (co-scheduled runs advance one algorithm iteration per shared sweep,
 // each counting from its own join).
 type runState struct {
-	alg     algo.Algorithm
-	chunked algo.ChunkedAlgorithm // non-nil when alg supports chunked dispatch
-	ctx     context.Context
-	stats   *Stats
-	iter    int
+	alg   algo.Algorithm
+	ctx   context.Context
+	stats *Stats
+	iter  int
 
 	// finished is set by the sweep (convergence, cancellation, or a
 	// sweep-fatal error); err is the run's outcome. completed marks
@@ -142,22 +142,18 @@ func (e *Engine) prepare(ctx context.Context, a algo.Algorithm) (*runState, erro
 		Layout:      e.g.Layout,
 		Directed:    e.g.Meta.Directed,
 		Half:        e.g.Meta.Half,
-		SNB:         e.g.Meta.SNB,
-		Codec:       e.g.Meta.TupleCodec(),
 		Degrees:     degrees,
 		Workers:     e.opts.Threads,
 	}
 	if err := a.Init(actx); err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
-	chunked, _ := a.(algo.ChunkedAlgorithm)
 	return &runState{
-		alg:     a,
-		chunked: chunked,
-		ctx:     ctx,
-		stats:   &Stats{Algorithm: a.Name()},
-		done:    make(chan struct{}),
-		began:   time.Now(),
+		alg:   a,
+		ctx:   ctx,
+		stats: &Stats{Algorithm: a.Name()},
+		done:  make(chan struct{}),
+		began: time.Now(),
 	}, nil
 }
 
@@ -191,17 +187,16 @@ func statEach(batch []*runState, f func(*Stats)) {
 	}
 }
 
-// workItem is one unit of compute: a whole tile, or — when the algorithm
-// supports chunked processing — one tuple-aligned chunk of a tile. The
+// workItem is one unit of compute: one view of a tile's data (the whole
+// tile, or one independently decodable chunk of it) for one run. The
 // algorithm travels with the item so concurrent Run teardown can never
 // leave a worker reading a stale engine-level field.
 type workItem struct {
-	alg     algo.Algorithm
-	chunked algo.ChunkedAlgorithm // non-nil selects the chunk entry point
-	row     uint32
-	col     uint32
-	data    []byte
-	done    *sync.WaitGroup
+	alg  algo.Algorithm
+	row  uint32
+	col  uint32
+	data []byte
+	done *sync.WaitGroup
 }
 
 // workerStat is one worker's cumulative accounting, padded so neighboring
@@ -292,7 +287,7 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 		array.Close()
 		return nil, err
 	}
-	e := &Engine{g: g, opts: opts, array: array, mm: mman}
+	e := &Engine{g: g, opts: opts, array: array, mm: mman, codec: g.Meta.TupleCodec()}
 	if ra, ok := array.(storage.Readaheader); ok {
 		e.ra = ra
 		e.raBudget = opts.ReadaheadBytes
@@ -302,18 +297,6 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 		if e.raBudget < 0 {
 			e.raBudget = 0
 		}
-	}
-	if cb := opts.ChunkBytes; cb > 0 {
-		// Fixed-width codecs round the chunk size down to the tuple
-		// alignment; v3 tiles (TupleBytes 0) split at decode-block
-		// boundaries instead, so the size is used as-is.
-		if tb := g.Meta.TupleBytes(); tb > 0 {
-			cb -= cb % tb
-			if cb < tb {
-				cb = tb
-			}
-		}
-		e.chunkBytes = cb
 	}
 	e.scratch.inCache = make(map[int]bool)
 	e.workers = make([]workerStat, opts.Threads)
@@ -352,40 +335,45 @@ func (e *Engine) Close() {
 	}
 }
 
-// worker is one compute goroutine with a stable ID; chunked kernels key
-// their private accumulator slabs off it.
+// edgeScratch is one worker's decode buffer: the batch of full-ID edges
+// the kernel sees in place of tile bytes.
+type edgeScratch struct {
+	src, dst [tile.V3BlockTuples]uint32
+}
+
+// feed decodes one view of tile (row, col) block by block and hands the
+// kernel each batch of edges on behalf of worker. It is the only path from
+// tile bytes to a kernel, shared by the engine's workers and MemGraph.
+// Every caller hands it checksum-verified (and, for v3, frame-validated)
+// tile data or a merge the encoder just produced, so a block that fails to
+// decode ends the view instead of failing the run; fsck and Verify are
+// where corrupt payloads are reported with context.
+func (sc *edgeScratch) feed(a algo.Algorithm, worker int, g *tile.Graph, codec tile.Codec, row, col uint32, data []byte) {
+	rowBase, _ := g.Layout.VertexRange(row)
+	colBase, _ := g.Layout.VertexRange(col)
+	for len(data) > 0 {
+		n, rest, err := tile.DecodeBlock(data, codec, rowBase, colBase, &sc.src, &sc.dst)
+		if err != nil {
+			return
+		}
+		a.ProcessEdges(worker, row, col, sc.src[:n], sc.dst[:n])
+		data = rest
+	}
+}
+
+// worker is one compute goroutine with a stable ID — kernels key their
+// private accumulator slabs off it — and its own decode scratch.
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
 	ws := &e.workers[id]
+	var sc edgeScratch
 	for item := range e.work {
 		begin := time.Now()
-		if item.chunked != nil {
-			item.chunked.ProcessTileChunk(id, item.row, item.col, item.data)
-		} else {
-			item.alg.ProcessTile(item.row, item.col, item.data)
-		}
+		sc.feed(item.alg, id, e.g, e.codec, item.row, item.col, item.data)
 		ws.busyNS.Add(int64(time.Since(begin)))
 		ws.chunks.Add(1)
 		item.done.Done()
 	}
-}
-
-// dispatch enqueues tile data as work items: one per tile on the legacy
-// path, one per chunkBytes-sized chunk when the algorithm implements
-// ChunkedAlgorithm — the load-balancing move that keeps all workers busy
-// on a segment dominated by one dense tile. Returns the items enqueued.
-func (e *Engine) dispatch(alg algo.Algorithm, chunked algo.ChunkedAlgorithm, ref mem.TileRef, done *sync.WaitGroup) int64 {
-	if chunked == nil || e.chunkBytes <= 0 || int64(len(ref.Data)) <= e.chunkBytes {
-		done.Add(1)
-		e.work <- workItem{alg: alg, chunked: chunked, row: ref.Row, col: ref.Col, data: ref.Data, done: done}
-		return 1
-	}
-	views := ref.Chunks(e.chunkBytes)
-	done.Add(len(views))
-	for _, v := range views {
-		e.work <- workItem{alg: alg, chunked: chunked, row: ref.Row, col: ref.Col, data: v, done: done}
-	}
-	return int64(len(views))
 }
 
 // dispatchTile fans one tile out to every interested, still-live run of
@@ -408,7 +396,6 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 		}
 		return nil
 	}
-	ref.Codec = e.g.Meta.TupleCodec()
 	// Read-time merge: a tile with delta data is dispatched as
 	// base∪delta — masked base tuples dropped, inserted tuples appended.
 	// The merged buffer is fresh, so pooled cache bytes stay the pristine
@@ -417,7 +404,7 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 	if td := e.scratch.view.Tile(ref.DiskIdx); td != nil {
 		rb, _ := e.g.Layout.VertexRange(ref.Row)
 		cb, _ := e.g.Layout.VertexRange(ref.Col)
-		merged, err := td.Merge(ref.Data, ref.Codec, e.g.Layout.TileBits, rb, cb)
+		merged, err := td.Merge(ref.Data, e.codec, e.g.Layout.TileBits, rb, cb)
 		if err != nil {
 			c := e.g.Layout.CoordAt(ref.DiskIdx)
 			return &IntegrityError{
@@ -428,11 +415,21 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 		ref.Data = merged
 		deltaTile = true
 	}
+	// The tile is cut into independently decodable views once, however
+	// many runs ride it: the load-balancing move that keeps all workers
+	// busy on a segment dominated by one dense tile. Work items copy the
+	// view headers, so the slice is reused by the next tile.
+	sc := &e.scratch
+	sc.views = tile.SplitViews(sc.views[:0], ref.Data, e.codec, e.opts.ChunkBytes)
 	for j, r := range batch {
 		if mask&(1<<uint(j)) == 0 || r.finished {
 			continue
 		}
-		r.stats.Chunks += e.dispatch(r.alg, r.chunked, ref, done)
+		done.Add(len(sc.views))
+		for _, v := range sc.views {
+			e.work <- workItem{alg: r.alg, row: ref.Row, col: ref.Col, data: v, done: done}
+		}
+		r.stats.Chunks += int64(len(sc.views))
 		r.stats.TilesProcessed++
 		if deltaTile {
 			r.stats.DeltaTiles++
@@ -591,7 +588,7 @@ func (e *Engine) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 // stays allocation-free once warm: the union need set and its interest
 // masks, the in-cache filter, pooled segment plans, the inflight queue
 // and its retry counters, the completion buffer, and the tile-ref /
-// request staging slices.
+// request / chunk-view staging slices.
 type sweepScratch struct {
 	needed    []int
 	masks     []uint64
@@ -611,6 +608,7 @@ type sweepScratch struct {
 	attempts []int
 	comps    []storage.Completion
 	refs     []mem.TileRef
+	views    [][]byte
 	reqVals  []storage.Request
 	reqPtrs  []*storage.Request
 }

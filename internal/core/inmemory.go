@@ -45,8 +45,6 @@ func LoadInMemory(g *tile.Graph) (*MemGraph, error) {
 		Layout:      g.Layout,
 		Directed:    g.Meta.Directed,
 		Half:        g.Meta.Half,
-		SNB:         g.Meta.SNB,
-		Codec:       g.Meta.TupleCodec(),
 		Degrees:     deg,
 	}
 	m.LoadTime = time.Since(begin)
@@ -63,7 +61,8 @@ func (m *MemGraph) Bytes() int64 {
 }
 
 // Run executes a over the in-memory tiles in disk order until
-// convergence, processing tiles with the given number of goroutines.
+// convergence, processing tiles with the given number of goroutines —
+// the kernel's workers, each with a stable ID and its own decode scratch.
 // Selective iteration still applies (NeedTileThisIter) — it saves compute
 // instead of I/O here.
 func (m *MemGraph) Run(a algo.Algorithm, threads, maxIterations int) (*Stats, error) {
@@ -74,14 +73,16 @@ func (m *MemGraph) Run(a algo.Algorithm, threads, maxIterations int) (*Stats, er
 		maxIterations = 1 << 20
 	}
 	ctx := m.ctx
+	ctx.Workers = threads
 	if err := a.Init(&ctx); err != nil {
 		return nil, err
 	}
 	stats := &Stats{Algorithm: a.Name()}
+	scratch := make([]edgeScratch, threads)
 	begin := time.Now()
 	for iter := 0; iter < maxIterations; iter++ {
 		a.BeforeIteration(iter)
-		m.processIteration(a, threads, stats)
+		m.processIteration(a, scratch, stats)
 		stats.Iterations = iter + 1
 		if a.AfterIteration(iter) {
 			break
@@ -93,18 +94,21 @@ func (m *MemGraph) Run(a algo.Algorithm, threads, maxIterations int) (*Stats, er
 	return stats, nil
 }
 
-func (m *MemGraph) processIteration(a algo.Algorithm, threads int, stats *Stats) {
-	work := make(chan int, threads*2)
+// processIteration runs one worker goroutine per scratch entry over the
+// tiles the kernel asks for.
+func (m *MemGraph) processIteration(a algo.Algorithm, scratch []edgeScratch, stats *Stats) {
+	codec := m.g.Meta.TupleCodec()
+	work := make(chan int, len(scratch)*2) // same queue depth as the engine's work channel
 	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
+	for id := range scratch {
 		wg.Add(1)
-		go func() {
+		go func(id int) {
 			defer wg.Done()
 			for i := range work {
 				co := m.g.Layout.CoordAt(i)
-				a.ProcessTile(co.Row, co.Col, m.tiles[i])
+				scratch[id].feed(a, id, m.g, codec, co.Row, co.Col, m.tiles[i])
 			}
-		}()
+		}(id)
 	}
 	for i, data := range m.tiles {
 		if len(data) == 0 {

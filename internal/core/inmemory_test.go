@@ -9,51 +9,58 @@ import (
 	"github.com/gwu-systems/gstore/internal/graph"
 )
 
+// TestInMemoryMatchesDiskEngine runs the in-memory mode on four workers
+// over every codec: MemGraph feeds kernels through the same decode helper
+// and the same worker contract (Workers = threads, stable IDs) as the
+// disk engine, so the answers must match the references exactly.
 func TestInMemoryMatchesDiskEngine(t *testing.T) {
 	el := kron(t, 10, 8, 31)
-	g := convert(t, el, 6, 4)
-	mg, err := LoadInMemory(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.Bytes() != g.DataBytes() {
-		t.Fatalf("loaded %d bytes, want %d", mg.Bytes(), g.DataBytes())
-	}
-
-	b := algo.NewBFS(0)
-	st, err := mg.Run(b, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := graph.RefBFS(graph.NewCSR(el, false), 0)
-	for v, d := range b.Depths() {
-		if d != want[v] {
-			t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
-		}
-	}
-	if st.TilesProcessed == 0 || st.Elapsed <= 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	p := algo.NewPageRank(8)
-	if _, err := mg.Run(p, 4, 8); err != nil {
-		t.Fatal(err)
-	}
-	wantR := graph.RefPageRank(graph.NewCSR(el, false), graph.DefaultPageRank(8))
-	for v, r := range p.Ranks() {
-		if math.Abs(r-wantR[v]) > 1e-9 {
-			t.Fatalf("rank[%d] = %v, want %v", v, r, wantR[v])
-		}
-	}
-
-	w := algo.NewWCC()
-	if _, err := mg.Run(w, 1, 0); err != nil {
-		t.Fatal(err)
-	}
+	csr := graph.NewCSR(el, false)
+	want := graph.RefBFS(csr, 0)
+	wantR := graph.RefPageRank(csr, graph.DefaultPageRank(8))
 	wantL := graph.RefWCC(el)
-	for v, l := range w.Labels() {
-		if l != wantL[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, l, wantL[v])
+	for _, codec := range []string{"snb", "raw", "v3"} {
+		g := convertCodec(t, el, 6, 4, codec)
+		mg, err := LoadInMemory(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mg.Bytes() != g.DataBytes() {
+			t.Fatalf("%s: loaded %d bytes, want %d", codec, mg.Bytes(), g.DataBytes())
+		}
+
+		b := algo.NewBFS(0)
+		st, err := mg.Run(b, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, d := range b.Depths() {
+			if d != want[v] {
+				t.Fatalf("%s: depth[%d] = %d, want %d", codec, v, d, want[v])
+			}
+		}
+		if st.TilesProcessed == 0 || st.Elapsed <= 0 {
+			t.Fatalf("%s: stats = %+v", codec, st)
+		}
+
+		p := algo.NewPageRank(8)
+		if _, err := mg.Run(p, 4, 8); err != nil {
+			t.Fatal(err)
+		}
+		for v, r := range p.Ranks() {
+			if math.Abs(r-wantR[v]) > 1e-9 {
+				t.Fatalf("%s: rank[%d] = %v, want %v", codec, v, r, wantR[v])
+			}
+		}
+
+		w := algo.NewWCC()
+		if _, err := mg.Run(w, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		for v, l := range w.Labels() {
+			if l != wantL[v] {
+				t.Fatalf("%s: label[%d] = %d, want %d", codec, v, l, wantL[v])
+			}
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (e *Engine) verifySegment(batch []*runState, plan *segmentPlan, seg *mem.Se
 	// framing, so a converter bug (or a CRC collision) can never hand
 	// workers undecodable data. Fixed-width codecs have no framing.
 	frames := func(data []byte) error {
-		if e.g.Meta.TupleCodec() != tile.CodecV3 {
+		if e.codec != tile.CodecV3 {
 			return nil
 		}
 		return tile.ValidateV3Frames(data)

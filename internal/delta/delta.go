@@ -137,7 +137,7 @@ func (td *TileDelta) mergeLocked(baseData []byte, c tile.Codec, bits uint, rowBa
 		if want := int(int64(len(baseData)/2) + int64(len(td.ins)/tile.SNBTupleBytes)); cap(keys) < want {
 			keys = make([]uint32, 0, want)
 		}
-		err := tile.DecodeV3(baseData, rowBase, colBase, func(s, d uint32) {
+		err := tile.DecodeTuples(baseData, c, rowBase, colBase, func(s, d uint32) {
 			if _, ok := td.state[key(s, d)]; ok {
 				return
 			}

@@ -16,11 +16,7 @@
 // Figure 8).
 package mem
 
-import (
-	"fmt"
-
-	"github.com/gwu-systems/gstore/internal/tile"
-)
+import "fmt"
 
 // TileRef locates one tile's data inside a segment or the cache pool.
 type TileRef struct {
@@ -29,46 +25,9 @@ type TileRef struct {
 	DiskIdx int
 	Row     uint32
 	Col     uint32
-	// Codec is the tuple encoding of Data; it decides how Chunks may
-	// split the tile (byte offsets for fixed-width codecs, decode-block
-	// boundaries for v3).
-	Codec tile.Codec
 	// Data aliases the owning buffer. It is invalidated by pool
 	// compaction; engines must not hold refs across Evict.
 	Data []byte
-}
-
-// Chunks splits the tile's data into consecutive views of at most
-// chunkBytes each, for chunked work dispatch. For fixed-width codecs
-// chunkBytes must be positive and a multiple of the graph's tuple size —
-// every view except possibly the last is then exactly chunkBytes, so no
-// tuple straddles a boundary. For the v3 codec views are whole decode
-// blocks (each block restarts the delta chains, so any run of blocks
-// decodes independently); a view may then exceed chunkBytes only when a
-// single block does. The views alias r.Data and share its invalidation
-// rules.
-func (r TileRef) Chunks(chunkBytes int64) [][]byte {
-	n := int64(len(r.Data))
-	if chunkBytes <= 0 || n <= chunkBytes {
-		return [][]byte{r.Data}
-	}
-	if r.Codec == tile.CodecV3 {
-		if views := tile.SplitV3(r.Data, chunkBytes); views != nil {
-			return views
-		}
-		// Corrupt framing: dispatch the whole tile and let its decode
-		// report the corruption.
-		return [][]byte{r.Data}
-	}
-	views := make([][]byte, 0, (n+chunkBytes-1)/chunkBytes)
-	for off := int64(0); off < n; off += chunkBytes {
-		end := off + chunkBytes
-		if end > n {
-			end = n
-		}
-		views = append(views, r.Data[off:end])
-	}
-	return views
 }
 
 // Segment is one streaming buffer. The engine fills Buf from disk with a
@@ -191,7 +150,7 @@ func (m *Manager) Retire(s *Segment, keep func(ref TileRef) bool) {
 		m.stats.CopiedBytes += n
 		m.byDisk[ref.DiskIdx] = len(m.poolTiles)
 		m.poolTiles = append(m.poolTiles, TileRef{
-			DiskIdx: ref.DiskIdx, Row: ref.Row, Col: ref.Col, Codec: ref.Codec, Data: dst,
+			DiskIdx: ref.DiskIdx, Row: ref.Row, Col: ref.Col, Data: dst,
 		})
 		m.poolUsed += n
 	}

@@ -313,43 +313,3 @@ func TestRetireDropCountMatchesStats(t *testing.T) {
 		t.Fatal("segments leaked by Retire")
 	}
 }
-
-func TestTileRefChunks(t *testing.T) {
-	ref := tileData(1, 100)
-
-	// Disabled or oversized chunking returns the whole tile as one view.
-	for _, cb := range []int64{0, -1, 100, 4096} {
-		views := ref.Chunks(cb)
-		if len(views) != 1 || len(views[0]) != 100 {
-			t.Fatalf("Chunks(%d) = %d views, want the whole tile", cb, len(views))
-		}
-		if &views[0][0] != &ref.Data[0] {
-			t.Fatalf("Chunks(%d) copied instead of aliasing", cb)
-		}
-	}
-
-	// Views must tile the data exactly, in order, without copying.
-	for _, cb := range []int64{1, 4, 7, 33, 99} {
-		views := ref.Chunks(cb)
-		want := (100 + int(cb) - 1) / int(cb)
-		if len(views) != want {
-			t.Fatalf("Chunks(%d) = %d views, want %d", cb, len(views), want)
-		}
-		var flat []byte
-		for i, v := range views {
-			if int64(len(v)) > cb {
-				t.Fatalf("Chunks(%d): view %d has %d bytes", cb, i, len(v))
-			}
-			if i < len(views)-1 && int64(len(v)) != cb {
-				t.Fatalf("Chunks(%d): interior view %d has %d bytes", cb, i, len(v))
-			}
-			flat = append(flat, v...)
-		}
-		if !bytes.Equal(flat, ref.Data) {
-			t.Fatalf("Chunks(%d): concatenated views differ from the tile data", cb)
-		}
-		if &views[0][0] != &ref.Data[0] {
-			t.Fatalf("Chunks(%d) copied instead of aliasing", cb)
-		}
-	}
-}

@@ -13,8 +13,8 @@ import (
 // blocks of at most V3BlockTuples tuples. Each block is framed by a
 // uvarint byte length so readers can walk block boundaries without
 // decoding, and each block restarts the delta chains, so any block can be
-// decoded independently — that is what lets mem.TileRef.Chunks split a v3
-// tile into parallel work items at block boundaries.
+// decoded independently — that is what lets SplitViews cut a v3 tile into
+// parallel work items at block boundaries.
 //
 // Inside a block each tuple stores:
 //
@@ -142,65 +142,16 @@ func AppendV3(dst []byte, keys []uint32, bits uint) []byte {
 	return dst
 }
 
-// DecodeV3 iterates over the tuples of one v3-encoded tile (or any whole
-// number of its blocks, as produced by SplitV3), adding rowBase/colBase
-// to the decoded offsets. It validates the block structure as it goes and
-// returns a descriptive error on any framing or varint corruption.
-func DecodeV3(data []byte, rowBase, colBase uint32, fn func(src, dst uint32)) error {
-	block := 0
-	for len(data) > 0 {
-		payload, rest, err := v3Frame(data, block)
-		if err != nil {
-			return err
-		}
-		count, n := binary.Uvarint(payload)
-		if n <= 0 || count == 0 || count > V3BlockTuples {
-			return fmt.Errorf("tile: v3 block %d has bad tuple count %d", block, count)
-		}
-		payload = payload[n:]
-		prevSrc, prevDst := uint32(0), uint32(0)
-		for i := uint64(0); i < count; i++ {
-			srcDelta, n := binary.Uvarint(payload)
-			if n <= 0 || srcDelta > v3MaxField {
-				return fmt.Errorf("tile: v3 block %d tuple %d has corrupt source delta", block, i)
-			}
-			payload = payload[n:]
-			dstField, n := binary.Uvarint(payload)
-			if n <= 0 || dstField > v3MaxField {
-				return fmt.Errorf("tile: v3 block %d tuple %d has corrupt destination field", block, i)
-			}
-			payload = payload[n:]
-			src := prevSrc + uint32(srcDelta)
-			dst := uint32(dstField)
-			if i > 0 && srcDelta == 0 {
-				dst += prevDst
-			}
-			if dst > v3MaxField {
-				return fmt.Errorf("tile: v3 block %d tuple %d destination offset out of range", block, i)
-			}
-			fn(rowBase+src, colBase+dst)
-			prevSrc, prevDst = src, dst
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("tile: v3 block %d has %d trailing bytes after %d tuples",
-				block, len(payload), count)
-		}
-		data = rest
-		block++
-	}
-	return nil
-}
-
 // v3Frame splits the leading block off data: the uvarint length prefix
 // and the payload it frames.
-func v3Frame(data []byte, block int) (payload, rest []byte, err error) {
+func v3Frame(data []byte) (payload, rest []byte, err error) {
 	size, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("tile: v3 block %d has a corrupt length prefix", block)
+		return nil, nil, fmt.Errorf("tile: v3 block has a corrupt length prefix")
 	}
 	if size == 0 || size > uint64(len(data)-n) {
-		return nil, nil, fmt.Errorf("tile: v3 block %d claims %d payload bytes, %d remain",
-			block, size, len(data)-n)
+		return nil, nil, fmt.Errorf("tile: v3 block claims %d payload bytes, %d remain",
+			size, len(data)-n)
 	}
 	return data[n : n+int(size)], data[n+int(size):], nil
 }
@@ -209,12 +160,12 @@ func v3Frame(data []byte, block int) (payload, rest []byte, err error) {
 // tuple payloads: every length prefix must parse, stay in bounds, and the
 // frames must cover data exactly. The engine runs this on the hot read
 // path after the CRC check (cheap — a handful of varint reads per block);
-// full payload validation is done by DecodeV3, fsck and Verify.
+// full payload validation is done by DecodeBlock (so by fsck and Verify).
 func ValidateV3Frames(data []byte) error {
 	for block := 0; len(data) > 0; block++ {
-		payload, rest, err := v3Frame(data, block)
+		payload, rest, err := v3Frame(data)
 		if err != nil {
-			return err
+			return fmt.Errorf("tile: v3 block %d: %w", block, err)
 		}
 		count, n := binary.Uvarint(payload)
 		if n <= 0 || count == 0 || count > V3BlockTuples {
@@ -227,30 +178,4 @@ func ValidateV3Frames(data []byte) error {
 		data = rest
 	}
 	return nil
-}
-
-// SplitV3 splits a v3 tile into views of whole decode blocks, each view
-// at most chunkBytes long (a single oversized block still forms its own
-// view, so progress is always made). It returns nil when the framing is
-// corrupt — callers fall back to dispatching the whole tile, whose decode
-// will report the corruption.
-func SplitV3(data []byte, chunkBytes int64) [][]byte {
-	if len(data) == 0 {
-		return nil
-	}
-	var out [][]byte
-	viewStart, pos := 0, 0
-	for block := 0; pos < len(data); block++ {
-		_, rest, err := v3Frame(data[pos:], block)
-		if err != nil {
-			return nil
-		}
-		next := len(data) - len(rest)
-		if next-viewStart > int(chunkBytes) && pos > viewStart {
-			out = append(out, data[viewStart:pos])
-			viewStart = pos
-		}
-		pos = next
-	}
-	return append(out, data[viewStart:])
 }

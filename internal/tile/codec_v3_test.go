@@ -213,53 +213,6 @@ func TestV2HeadersUnchangedByCodecField(t *testing.T) {
 	}
 }
 
-// TestSplitV3Boundaries checks that chunk views decode to the same tuples
-// as the whole tile, in order, regardless of chunk size.
-func TestSplitV3Boundaries(t *testing.T) {
-	var keys []uint32
-	for i := uint32(0); i < 3000; i++ {
-		keys = append(keys, V3Key(i/7, (i*13)%127, 12))
-	}
-	data := AppendV3(nil, keys, 12)
-	var whole []uint64
-	if err := DecodeV3(data, 0, 0, func(s, d uint32) {
-		whole = append(whole, uint64(s)<<32|uint64(d))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int64{1, 64, 700, 1 << 20} {
-		views := SplitV3(data, chunk)
-		var got []uint64
-		total := 0
-		for _, v := range views {
-			total += len(v)
-			if chunk >= 64 && int64(len(v)) > chunk && len(views) > 1 {
-				// A view only exceeds chunkBytes when a single block does.
-				if err := func() error {
-					_, rest, err := v3Frame(v, 0)
-					if err == nil && len(rest) != 0 {
-						t.Fatalf("oversized view holds %d trailing bytes beyond one block", len(rest))
-					}
-					return err
-				}(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := DecodeV3(v, 0, 0, func(s, d uint32) {
-				got = append(got, uint64(s)<<32|uint64(d))
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if total != len(data) {
-			t.Fatalf("chunk %d: views cover %d of %d bytes", chunk, total, len(data))
-		}
-		if !reflect.DeepEqual(got, whole) {
-			t.Fatalf("chunk %d: chunked decode differs from whole-tile decode", chunk)
-		}
-	}
-}
-
 func putU32(b []byte, v uint32) {
 	b[0] = byte(v)
 	b[1] = byte(v >> 8)

@@ -1,0 +1,159 @@
+package tile
+
+import (
+	"encoding/binary"
+	"fmt"
+)
+
+// This file is the read side of every tuple codec: DecodeBlock is the
+// only place that knows how tile bytes become edges, and SplitViews the
+// only place that knows where tile bytes may be cut. Every reader — the
+// engine's workers, fsck, Verify, ForEachEdge, the delta merge's v3 base
+// decode — reaches the bytes through these two.
+
+// DecodeBlock decodes the leading tuples of data, which is in codec c,
+// into src and dst as full vertex IDs, and returns how many it decoded
+// and the bytes that follow them. One call consumes one decode block of
+// a v3 tile, or up to V3BlockTuples tuples of a fixed-width one, so a
+// loop that runs until rest is empty visits a whole tile — or any view
+// SplitViews produced from it — in stored order.
+//
+// rowBase and colBase are the first vertex IDs of the tile's row and
+// column ranges (ignored by the raw codec, which stores full IDs). Data
+// that is not a whole number of tuples (fixed-width codecs) or whose
+// leading block is corrupt (v3) is rejected with n == 0.
+func DecodeBlock(data []byte, c Codec, rowBase, colBase uint32, src, dst *[V3BlockTuples]uint32) (n int, rest []byte, err error) {
+	switch c {
+	case CodecSNB:
+		if len(data)%SNBTupleBytes != 0 {
+			return 0, nil, fmt.Errorf("tile: %d bytes is not a whole number of SNB tuples", len(data))
+		}
+		n = min(len(data)/SNBTupleBytes, V3BlockTuples)
+		for i := 0; i < n; i++ {
+			t := binary.LittleEndian.Uint32(data[i*SNBTupleBytes:])
+			src[i] = rowBase + t&0xffff
+			dst[i] = colBase + t>>16
+		}
+		return n, data[n*SNBTupleBytes:], nil
+	case CodecV3:
+		return decodeV3Block(data, rowBase, colBase, src, dst)
+	}
+	if len(data)%RawTupleBytes != 0 {
+		return 0, nil, fmt.Errorf("tile: %d bytes is not a whole number of raw tuples", len(data))
+	}
+	n = min(len(data)/RawTupleBytes, V3BlockTuples)
+	for i := 0; i < n; i++ {
+		t := binary.LittleEndian.Uint64(data[i*RawTupleBytes:])
+		src[i] = uint32(t)
+		dst[i] = uint32(t >> 32)
+	}
+	return n, data[n*RawTupleBytes:], nil
+}
+
+// decodeV3Block decodes one length-framed v3 block, validating the frame,
+// the tuple count and every varint field as it goes.
+func decodeV3Block(data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuples]uint32) (int, []byte, error) {
+	payload, rest, err := v3Frame(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	count, k := binary.Uvarint(payload)
+	if k <= 0 || count == 0 || count > V3BlockTuples {
+		return 0, nil, fmt.Errorf("tile: v3 block has bad tuple count %d", count)
+	}
+	payload = payload[k:]
+	n := int(count)
+	prevSrc, prevDst := uint32(0), uint32(0)
+	for i := 0; i < n; i++ {
+		srcDelta, k := binary.Uvarint(payload)
+		if k <= 0 || srcDelta > v3MaxField {
+			return 0, nil, fmt.Errorf("tile: v3 block tuple %d has corrupt source delta", i)
+		}
+		payload = payload[k:]
+		dstField, k := binary.Uvarint(payload)
+		if k <= 0 || dstField > v3MaxField {
+			return 0, nil, fmt.Errorf("tile: v3 block tuple %d has corrupt destination field", i)
+		}
+		payload = payload[k:]
+		s := prevSrc + uint32(srcDelta)
+		d := uint32(dstField)
+		if i > 0 && srcDelta == 0 {
+			d += prevDst
+		}
+		if d > v3MaxField {
+			return 0, nil, fmt.Errorf("tile: v3 block tuple %d destination offset out of range", i)
+		}
+		src[i], dst[i] = rowBase+s, colBase+d
+		prevSrc, prevDst = s, d
+	}
+	if len(payload) != 0 {
+		return 0, nil, fmt.Errorf("tile: v3 block has %d trailing bytes after %d tuples", len(payload), n)
+	}
+	return n, rest, nil
+}
+
+// DecodeTuples iterates over the tuples of one tile's data in codec c —
+// DecodeBlock behind a per-tuple callback, for callers off the hot path
+// (fsck, Verify, ForEachEdge, tests). It returns an error, naming the
+// byte offset of the offending block, if data is not a whole number of
+// tuples (fixed-width codecs) or its block structure is corrupt (v3);
+// tuples of the blocks before a corrupt one have been delivered by then.
+func DecodeTuples(data []byte, c Codec, rowBase, colBase uint32, fn func(src, dst uint32)) error {
+	var src, dst [V3BlockTuples]uint32
+	for rest := data; len(rest) > 0; {
+		n, next, err := DecodeBlock(rest, c, rowBase, colBase, &src, &dst)
+		if err != nil {
+			return fmt.Errorf("tile: decode at byte %d: %w", len(data)-len(rest), err)
+		}
+		for i := 0; i < n; i++ {
+			fn(src[i], dst[i])
+		}
+		rest = next
+	}
+	return nil
+}
+
+// SplitViews appends to views consecutive sub-slices of one tile's data,
+// each at most chunkBytes long and each decodable on its own, and returns
+// the extended slice; the views alias data and together cover it exactly.
+// Fixed-width codecs cut at tuple boundaries (chunkBytes is rounded down
+// to a whole number of tuples, never below one); v3 cuts at decode-block
+// boundaries — every block restarts the delta chains — so a view exceeds
+// chunkBytes only when a single block does. A tile that already fits, a
+// non-positive chunkBytes, or corrupt v3 framing (whose decode will then
+// report the corruption) yield data as one view.
+func SplitViews(views [][]byte, data []byte, c Codec, chunkBytes int64) [][]byte {
+	n := int64(len(data))
+	if chunkBytes <= 0 || n <= chunkBytes {
+		return append(views, data)
+	}
+	if c == CodecV3 {
+		return splitV3(views, data, int(chunkBytes))
+	}
+	tb := c.TupleBytes()
+	chunkBytes = max(chunkBytes-chunkBytes%tb, tb)
+	for off := int64(0); off < n; off += chunkBytes {
+		views = append(views, data[off:min(off+chunkBytes, n)])
+	}
+	return views
+}
+
+// splitV3 walks the block framing without decoding payloads and closes a
+// view whenever the next block would push it past chunkBytes.
+func splitV3(views [][]byte, data []byte, chunkBytes int) [][]byte {
+	base := len(views)
+	viewStart, pos := 0, 0
+	for pos < len(data) {
+		_, rest, err := v3Frame(data[pos:])
+		if err != nil {
+			return append(views[:base], data)
+		}
+		next := len(data) - len(rest)
+		if next-viewStart > chunkBytes && pos > viewStart {
+			views = append(views, data[viewStart:pos])
+			viewStart = pos
+		}
+		pos = next
+	}
+	return append(views, data[viewStart:])
+}

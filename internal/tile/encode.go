@@ -35,35 +35,6 @@ func GetRaw(buf []byte) (src, dst uint32) {
 	return binary.LittleEndian.Uint32(buf[0:4]), binary.LittleEndian.Uint32(buf[4:8])
 }
 
-// DecodeTuples iterates over the tuples of one tile's data in codec c.
-// rowBase and colBase are the first vertex IDs of the tile's row and
-// column ranges (ignored for raw tuples, which carry full IDs). It
-// returns an error if data is not a whole number of tuples (fixed-width
-// codecs) or its block structure is corrupt (v3).
-func DecodeTuples(data []byte, c Codec, rowBase, colBase uint32, fn func(src, dst uint32)) error {
-	switch c {
-	case CodecSNB:
-		if len(data)%SNBTupleBytes != 0 {
-			return fmt.Errorf("tile: %d bytes is not a whole number of SNB tuples", len(data))
-		}
-		for i := 0; i < len(data); i += SNBTupleBytes {
-			s, d := GetSNB(data[i:])
-			fn(rowBase+uint32(s), colBase+uint32(d))
-		}
-		return nil
-	case CodecV3:
-		return DecodeV3(data, rowBase, colBase, fn)
-	}
-	if len(data)%RawTupleBytes != 0 {
-		return fmt.Errorf("tile: %d bytes is not a whole number of raw tuples", len(data))
-	}
-	for i := 0; i < len(data); i += RawTupleBytes {
-		s, d := GetRaw(data[i:])
-		fn(s, d)
-	}
-	return nil
-}
-
 // Compact degree encoding, §IV-C: each vertex gets a 2-byte entry. If the
 // degree is below 2^15 it is stored directly with the MSB clear; otherwise
 // the MSB is set and the low 15 bits index an overflow array holding the

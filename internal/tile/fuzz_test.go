@@ -2,8 +2,10 @@ package tile
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -104,15 +106,31 @@ func FuzzDecodeTuples(f *testing.F) {
 	f.Add([]byte{3, 1, 0}, uint8(CodecV3)) // truncated frame
 	f.Fuzz(func(t *testing.T, data []byte, codec uint8) {
 		c := Codec(codec % 3)
-		n := 0
-		err := DecodeTuples(data, c, 64, 128, func(s, d uint32) { n++ })
+		// Same verdict and tuple sequence as the closure decoders the
+		// block decoder replaced — on the input as a whole and on every
+		// view the splitter cuts it into.
+		whole, err := requireSameDecode(t, "fuzz input", data, c, 64, 128)
+		n := len(whole)
+		if err == nil {
+			for _, cb := range []int64{1, 16, 700} {
+				var got []uint64
+				for i, v := range SplitViews(nil, data, c, cb) {
+					tuples, _ := requireSameDecode(t, fmt.Sprintf("chunk %d view %d", cb, i), v, c, 64, 128)
+					got = append(got, tuples...)
+				}
+				if !reflect.DeepEqual(got, whole) {
+					t.Fatalf("chunk %d: views decode to %d tuples, the whole input to %d, or they differ", cb, len(got), n)
+				}
+			}
+		}
 		switch c {
 		case CodecV3:
 			// Arbitrary bytes may or may not frame; either way no panic,
-			// and acceptance must agree with the cheap framing walk.
-			if (err == nil) != (ValidateV3Frames(data) == nil) {
-				t.Fatalf("decode err=%v disagrees with ValidateV3Frames=%v",
-					err, ValidateV3Frames(data))
+			// and a tile the decoder accepts must pass the cheap framing
+			// walk the engine runs (the walk alone cannot see varint
+			// damage inside a well-framed payload).
+			if err == nil && ValidateV3Frames(data) != nil {
+				t.Fatalf("decodable data fails ValidateV3Frames: %v", ValidateV3Frames(data))
 			}
 		default:
 			w := int(c.TupleBytes())
@@ -151,7 +169,7 @@ func FuzzV3RoundTrip(f *testing.F) {
 			t.Fatalf("encoder produced invalid framing: %v", err)
 		}
 		var got []uint32
-		if err := DecodeV3(data, 0, 0, func(s, d uint32) {
+		if err := DecodeTuples(data, CodecV3, 0, 0, func(s, d uint32) {
 			got = append(got, V3Key(s, d, uint(bits)))
 		}); err != nil {
 			t.Fatalf("round trip decode: %v", err)
@@ -165,13 +183,15 @@ func FuzzV3RoundTrip(f *testing.F) {
 				t.Fatalf("tuple %d: got key %#x want %#x", i, got[i], want[i])
 			}
 		}
-		// Chunking must partition the data into whole blocks.
-		views := SplitV3(data, 16)
+		// Chunking must partition the data into whole blocks, each view
+		// decoding exactly as the closure decoder would.
+		views := SplitViews(nil, data, CodecV3, 16)
 		total := 0
-		for _, v := range views {
+		for i, v := range views {
 			if err := ValidateV3Frames(v); err != nil {
 				t.Fatalf("chunk not block-aligned: %v", err)
 			}
+			requireSameDecode(t, fmt.Sprintf("view %d", i), v, CodecV3, 0, 0)
 			total += len(v)
 		}
 		if total != len(data) {
@@ -180,8 +200,9 @@ func FuzzV3RoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzV3Corrupt flips bytes in valid encodings: decode must either error
-// or stay inside the field sanity bounds — never panic.
+// FuzzV3Corrupt flips bytes in valid encodings: decode must reach the
+// closure decoder's verdict (error, or tuples inside the field sanity
+// bounds) and never panic.
 func FuzzV3Corrupt(f *testing.F) {
 	seed := AppendV3(nil, []uint32{0, 5, 5, 1 << 20, 1<<24 | 9}, 12)
 	f.Add(seed, 0, uint8(0xff))
@@ -192,9 +213,15 @@ func FuzzV3Corrupt(f *testing.F) {
 		}
 		mut := append([]byte(nil), data...)
 		mut[((pos%len(mut))+len(mut))%len(mut)] ^= xor
-		_ = DecodeV3(mut, 0, 0, func(s, d uint32) {})
+		requireSameDecode(t, "corrupted tile", mut, CodecV3, 0, 0)
 		_ = ValidateV3Frames(mut)
-		_ = SplitV3(mut, 8)
+		total := 0
+		for _, v := range SplitViews(nil, mut, CodecV3, 8) {
+			total += len(v)
+		}
+		if total != len(mut) {
+			t.Fatalf("views cover %d of %d bytes", total, len(mut))
+		}
 	})
 }
 

@@ -277,6 +277,33 @@ func TestPageRankEpsilonStopsEarly(t *testing.T) {
 	}
 }
 
+// The per-iteration vertex pass runs on Context.Workers goroutines; with
+// the edges fed by one worker in a fixed order, two runs must agree to the
+// last bit — ranks and Delta — however those goroutines were scheduled.
+func TestPageRankReduceIndependentOfScheduling(t *testing.T) {
+	el := kronEL(t, 9, 8, 11)
+	mg := load(t, el, defaultOpts())
+	for _, mk := range []func() (Algorithm, *PageRank){
+		func() (Algorithm, *PageRank) { p := NewPageRank(6); return p, p },
+		func() (Algorithm, *PageRank) { p := NewPPR(3, 6); return p, &p.PageRank },
+	} {
+		a, first := mk()
+		mg.run(t, a, false, 6)
+		for rep := 0; rep < 5; rep++ {
+			b, again := mk()
+			mg.run(t, b, false, 6)
+			if again.Delta() != first.Delta() {
+				t.Fatalf("%s: delta %v, then %v", a.Name(), first.Delta(), again.Delta())
+			}
+			for v, r := range again.Ranks() {
+				if r != first.Ranks()[v] {
+					t.Fatalf("%s: rank[%d] = %v, then %v", a.Name(), v, first.Ranks()[v], r)
+				}
+			}
+		}
+	}
+}
+
 func TestPageRankRequiresDegrees(t *testing.T) {
 	el := kronEL(t, 6, 4, 8)
 	opts := defaultOpts()

@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // PageRank is the iterative kernel of §II-B: every vertex divides its rank
@@ -30,7 +31,20 @@ type PageRank struct {
 	share    []float64
 	dangling float64
 	delta    float64
+	// root is the vertex all teleport mass lands on (personalized
+	// PageRank), or -1 to spread it uniformly.
+	root  int
+	parts []reducePart // reduce's per-range partial sums, in range order
+	wg    sync.WaitGroup
 }
+
+// minReduceRange is the fewest vertices worth a goroutine of their own in
+// reduce: below it, starting the goroutine costs more than the visits.
+const minReduceRange = 1 << 14
+
+// reducePart is one vertex range's contribution to the L1 delta and to the
+// next iteration's dangling mass.
+type reducePart struct{ delta, dangling float64 }
 
 // NewPageRank returns a kernel running the given number of iterations.
 func NewPageRank(iterations int) *PageRank {
@@ -44,6 +58,20 @@ const damping = 0.85
 
 // Init implements Algorithm.
 func (p *PageRank) Init(ctx *Context) error {
+	if err := p.alloc(ctx); err != nil {
+		return err
+	}
+	inv := 1.0 / float64(len(p.rank))
+	for i := range p.rank {
+		p.rank[i] = inv
+	}
+	p.root = -1
+	p.reduce(true)
+	return nil
+}
+
+// alloc validates ctx and allocates the metadata, ranks all zero.
+func (p *PageRank) alloc(ctx *Context) error {
 	if err := ctx.validate(); err != nil {
 		return err
 	}
@@ -64,37 +92,17 @@ func (p *PageRank) Init(ctx *Context) error {
 	for w := range p.nextW {
 		p.nextW[w] = make([]float64, n)
 	}
-	inv := 1.0 / float64(n)
-	for i := range p.rank {
-		p.rank[i] = inv
-	}
+	p.parts = make([]reducePart, max(1, min(ctx.Workers, n/minReduceRange)))
 	return nil
 }
 
 // Ranks returns the rank vector after the run.
 func (p *PageRank) Ranks() []float64 { return p.rank }
 
-// BeforeIteration implements Algorithm: compute every vertex's outgoing
-// share rank/degree (cached so the per-edge work is one load and one
-// add) and the dangling mass.
-func (p *PageRank) BeforeIteration(int) {
-	deg := p.ctx.Degrees
-	p.dangling = 0
-	for v := range p.share {
-		d := deg.Degree(uint32(v))
-		if d == 0 {
-			p.dangling += p.rank[v]
-			p.share[v] = 0
-			continue
-		}
-		p.share[v] = p.rank[v] / float64(d)
-	}
-	for _, slab := range p.nextW {
-		for i := range slab {
-			slab[i] = 0
-		}
-	}
-}
+// BeforeIteration implements Algorithm. There is nothing to prepare: the
+// previous iteration's reduce (Init's, before the first) left the shares,
+// the dangling mass and zeroed slabs behind.
+func (p *PageRank) BeforeIteration(int) {}
 
 // ProcessEdges implements Algorithm: contributions accumulate in the
 // worker's private slab, so the hot path has no atomics at all.
@@ -111,31 +119,82 @@ func (p *PageRank) ProcessEdges(worker int, _, _ uint32, src, dst []uint32) {
 	}
 }
 
-// incoming reduces the per-worker slabs at vertex v.
-func (p *PageRank) incoming(v int) float64 {
-	sum := 0.0
-	for _, slab := range p.nextW {
-		sum += slab[v]
-	}
-	return sum
-}
-
-// AfterIteration implements Algorithm: reduce the per-worker slabs, apply
-// damping and the dangling redistribution, measure the L1 delta.
+// AfterIteration implements Algorithm: reduce the per-worker slabs into
+// the new ranks and measure the L1 delta.
 func (p *PageRank) AfterIteration(iter int) bool {
-	n := float64(len(p.rank))
-	base := (1-damping)/n + damping*p.dangling/n
-	delta := 0.0
-	for v := range p.rank {
-		nv := base + damping*p.incoming(v)
-		delta += math.Abs(nv - p.rank[v])
-		p.rank[v] = nv
-	}
-	p.delta = delta
-	if p.Epsilon > 0 && delta < p.Epsilon {
+	p.reduce(false)
+	if p.Epsilon > 0 && p.delta < p.Epsilon {
 		return true
 	}
 	return iter+1 >= p.Iterations
+}
+
+// reduce is the kernel's one pass over the vertices per iteration, split
+// into up to Context.Workers contiguous ranges of at least minReduceRange
+// vertices that run concurrently (the engine's workers are idle between
+// iterations), the first of them on the caller. Each visit sums the
+// vertex's slab entries and zeroes them, applies damping and the teleport
+// and dangling redistribution, and writes the outgoing share rank/degree
+// the next iteration's edges will read (cached so the per-edge work is one
+// load and one add). With first set — Init, before any edge — it only
+// derives shares from the initial ranks. The ranges' delta and dangling
+// sums are combined in range order, so the result does not depend on how
+// the goroutines were scheduled.
+func (p *PageRank) reduce(first bool) {
+	n := len(p.rank)
+	uniform, atRoot := p.teleport()
+	for w := 1; w < len(p.parts); w++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.parts[w] = p.reduceRange(w*n/len(p.parts), (w+1)*n/len(p.parts), uniform, atRoot, first)
+		}()
+	}
+	p.parts[0] = p.reduceRange(0, n/len(p.parts), uniform, atRoot, first)
+	p.wg.Wait()
+	p.delta, p.dangling = 0, 0
+	for _, part := range p.parts {
+		p.delta += part.delta
+		p.dangling += part.dangling
+	}
+}
+
+// teleport returns the mass every vertex receives this iteration and the
+// extra mass the root does: the (1-d) restart and the dangling vertices'
+// rank, spread uniformly or, personalized, landed on the root alone.
+func (p *PageRank) teleport() (uniform, atRoot float64) {
+	if p.root >= 0 {
+		return 0, (1 - damping) + damping*p.dangling
+	}
+	n := float64(len(p.rank))
+	return (1-damping)/n + damping*p.dangling/n, 0
+}
+
+func (p *PageRank) reduceRange(lo, hi int, uniform, atRoot float64, first bool) (part reducePart) {
+	deg := p.ctx.Degrees
+	for v := lo; v < hi; v++ {
+		r := p.rank[v]
+		if !first {
+			incoming := 0.0
+			for _, slab := range p.nextW {
+				incoming += slab[v]
+				slab[v] = 0
+			}
+			nv := uniform + damping*incoming
+			if v == p.root {
+				nv += atRoot
+			}
+			part.delta += math.Abs(nv - r)
+			p.rank[v], r = nv, nv
+		}
+		if d := deg.Degree(uint32(v)); d == 0 {
+			part.dangling += r
+			p.share[v] = 0
+		} else {
+			p.share[v] = r / float64(d)
+		}
+	}
+	return part
 }
 
 // Delta returns the L1 rank change of the last iteration.

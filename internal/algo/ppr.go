@@ -1,9 +1,6 @@
 package algo
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PPR is personalized PageRank: the restart-vector variant of the
 // PageRank kernel where the teleport distribution is a point
@@ -32,38 +29,17 @@ func NewPPR(root uint32, iterations int) *PPR {
 func (p *PPR) Name() string { return "ppr" }
 
 // Init implements Algorithm: all rank mass starts at the root, matching
-// the fixed point's teleport distribution.
+// the fixed point's teleport distribution, and PageRank's per-iteration
+// reduce lands the (1-d) restart mass and the dangling mass on Root alone.
 func (p *PPR) Init(ctx *Context) error {
-	if err := p.PageRank.Init(ctx); err != nil {
+	if err := p.alloc(ctx); err != nil {
 		return err
 	}
 	if p.Root >= ctx.NumVertices {
 		return fmt.Errorf("ppr: root %d outside vertex space %d", p.Root, ctx.NumVertices)
 	}
-	for i := range p.rank {
-		p.rank[i] = 0
-	}
 	p.rank[p.Root] = 1
+	p.root = int(p.Root)
+	p.reduce(true)
 	return nil
-}
-
-// AfterIteration implements Algorithm: reduce the per-worker slabs and
-// apply the personalized teleport — the (1-d) restart mass and the
-// dangling mass both land on Root alone.
-func (p *PPR) AfterIteration(iter int) bool {
-	restart := (1 - damping) + damping*p.dangling
-	delta := 0.0
-	for v := range p.rank {
-		nv := damping * p.incoming(v)
-		if uint32(v) == p.Root {
-			nv += restart
-		}
-		delta += math.Abs(nv - p.rank[v])
-		p.rank[v] = nv
-	}
-	p.delta = delta
-	if p.Epsilon > 0 && delta < p.Epsilon {
-		return true
-	}
-	return iter+1 >= p.Iterations
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 
 	"github.com/gwu-systems/gstore/internal/algo"
@@ -238,12 +237,15 @@ func TestUnattributedBytesCounted(t *testing.T) {
 	defer e.Close()
 
 	r := &runState{finished: true, stats: &Stats{}}
-	var done sync.WaitGroup
+	grp := &e.groups[0]
+	grp.begin()
 	ref := mem.TileRef{DiskIdx: 0, Row: 0, Col: 0, Data: make([]byte, 64)}
-	if err := e.dispatchTile([]*runState{r}, 1, ref, 4096, &done); err != nil {
+	if err := e.dispatchTile([]*runState{r}, 1, ref, 4096, grp, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	done.Wait()
+	if err := grp.finish(); err != nil {
+		t.Fatal(err)
+	}
 	if got := e.UnattributedBytes(); got != 4096 {
 		t.Fatalf("UnattributedBytes = %d, want 4096", got)
 	}
@@ -262,10 +264,13 @@ func TestUnattributedBytesCounted(t *testing.T) {
 	}
 	c := g.Layout.CoordAt(0)
 	ref = mem.TileRef{DiskIdx: 0, Row: c.Row, Col: c.Col, Data: data}
-	if err := e.dispatchTile([]*runState{live}, 1, ref, 512, &done); err != nil {
+	grp.begin()
+	if err := e.dispatchTile([]*runState{live}, 1, ref, 512, grp, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	done.Wait()
+	if err := grp.finish(); err != nil {
+		t.Fatal(err)
+	}
 	if got := e.UnattributedBytes(); got != 4096 {
 		t.Fatalf("live dispatch leaked %d unattributed bytes", got-4096)
 	}

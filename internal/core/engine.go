@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +63,12 @@ type Engine struct {
 
 	work chan workItem
 	wg   sync.WaitGroup
+	// groups count the outstanding work items of the (at most two)
+	// segments whose chunks are on the work queue: segment k uses
+	// groups[k&1], as it uses one of the two streaming buffers. The rewind
+	// and delta-only passes, which finish before the slide starts, borrow
+	// groups[0].
+	groups [2]workGroup
 	// codec is the graph's tuple codec, resolved once: the engine hands it
 	// to the tile package's splitter, decoder and frame validator and to
 	// the delta merge, and never looks inside it.
@@ -196,7 +203,65 @@ type workItem struct {
 	row  uint32
 	col  uint32
 	data []byte
-	done *sync.WaitGroup
+	grp  *workGroup
+}
+
+// workQueueDepth is the capacity of the engine's work queue, in work items
+// (a few dozen bytes each; the tile bytes stay in the segment buffers). It
+// is deep enough to hold the chunks of a typical segment, so the sweep
+// driver queues a whole segment without being paced by the workers and
+// then sleeps, instead of competing with them for a core on every hand-off.
+const workQueueDepth = 256
+
+// workGroup counts the work items of one segment (or one rewind pass) that
+// workers have not finished yet, and keeps the first decode failure among
+// them. The sweep driver holds one count of its own from begin until it
+// has queued the last item, so the group cannot drain while items are
+// still being added; whoever drops the count to zero signals done, exactly
+// once per begin. active belongs to the driver alone.
+type workGroup struct {
+	pending atomic.Int64
+	failed  atomic.Pointer[IntegrityError]
+	done    chan struct{} // capacity 1: at most one signal is ever unread
+	active  bool          // begun, and its done signal not yet consumed
+}
+
+func (g *workGroup) begin() {
+	g.pending.Store(1)
+	g.failed.Store(nil)
+	g.active = true
+}
+
+// release drops one count: a worker's finished item, or the driver's own
+// once dispatch into the group has ended. The worker that drains a group
+// yields its core: the driver it just woke has a buffer to recycle and a
+// read to submit, and with every core on edges it would otherwise run only
+// when the queue runs dry.
+func (g *workGroup) release() {
+	if g.pending.Add(-1) == 0 {
+		g.done <- struct{}{}
+		runtime.Gosched()
+	}
+}
+
+// finish ends dispatch into the group and waits for it.
+func (g *workGroup) finish() error {
+	g.release()
+	return g.wait()
+}
+
+// wait blocks until every item of the group is processed and returns the
+// first decode failure among them, if any. On an idle group it returns at
+// once.
+func (g *workGroup) wait() error {
+	if g.active {
+		<-g.done
+		g.active = false
+	}
+	if ie := g.failed.Load(); ie != nil {
+		return ie
+	}
+	return nil
 }
 
 // workerStat is one worker's cumulative accounting, padded so neighboring
@@ -298,9 +363,12 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 			e.raBudget = 0
 		}
 	}
-	e.scratch.inCache = make(map[int]bool)
+	e.scratch.inCache = make([]uint32, g.Layout.NumTiles())
+	for i := range e.groups {
+		e.groups[i].done = make(chan struct{}, 1)
+	}
 	e.workers = make([]workerStat, opts.Threads)
-	e.work = make(chan workItem, opts.Threads*2)
+	e.work = make(chan workItem, workQueueDepth)
 	for i := 0; i < opts.Threads; i++ {
 		e.wg.Add(1)
 		go e.worker(i)
@@ -346,19 +414,21 @@ type edgeScratch struct {
 // tile bytes to a kernel, shared by the engine's workers and MemGraph.
 // Every caller hands it checksum-verified (and, for v3, frame-validated)
 // tile data or a merge the encoder just produced, so a block that fails to
-// decode ends the view instead of failing the run; fsck and Verify are
-// where corrupt payloads are reported with context.
-func (sc *edgeScratch) feed(a algo.Algorithm, worker int, g *tile.Graph, codec tile.Codec, row, col uint32, data []byte) {
+// decode is damage the checksum could not see or a decoder bug: it ends the
+// view and comes back as an *IntegrityError naming the tile, which fails
+// the run.
+func (sc *edgeScratch) feed(a algo.Algorithm, worker int, g *tile.Graph, codec tile.Codec, row, col uint32, data []byte) *IntegrityError {
 	rowBase, _ := g.Layout.VertexRange(row)
 	colBase, _ := g.Layout.VertexRange(col)
 	for len(data) > 0 {
 		n, rest, err := tile.DecodeBlock(data, codec, rowBase, colBase, &sc.src, &sc.dst)
 		if err != nil {
-			return
+			return &IntegrityError{Graph: g.Meta.Name, Tile: g.Layout.DiskIndex(row, col), Row: row, Col: col, Err: err}
 		}
 		a.ProcessEdges(worker, row, col, sc.src[:n], sc.dst[:n])
 		data = rest
 	}
+	return nil
 }
 
 // worker is one compute goroutine with a stable ID — kernels key their
@@ -369,10 +439,12 @@ func (e *Engine) worker(id int) {
 	var sc edgeScratch
 	for item := range e.work {
 		begin := time.Now()
-		sc.feed(item.alg, id, e.g, e.codec, item.row, item.col, item.data)
+		if ie := sc.feed(item.alg, id, e.g, e.codec, item.row, item.col, item.data); ie != nil {
+			item.grp.failed.CompareAndSwap(nil, ie)
+		}
 		ws.busyNS.Add(int64(time.Since(begin)))
 		ws.chunks.Add(1)
-		item.done.Done()
+		item.grp.release()
 	}
 }
 
@@ -383,7 +455,12 @@ func (e *Engine) worker(id int) {
 // every interested run finished between planning and dispatch, fetched
 // bytes have nobody left to charge and land on the engine-level
 // unattributed counter instead of vanishing.
-func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, fetchedBytes int64, done *sync.WaitGroup) error {
+//
+// The tile's work items join grp. While the work queue is full the
+// dispatcher also listens for prev — the group of the segment queued ahead
+// of this one, nil when there is none — draining, and calls settle to
+// retire that segment the moment it does rather than after the last send.
+func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, fetchedBytes int64, grp, prev *workGroup, settle func() error) error {
 	share := 0
 	for j := range batch {
 		if mask&(1<<uint(j)) != 0 && !batch[j].finished {
@@ -421,13 +498,28 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 	// view headers, so the slice is reused by the next tile.
 	sc := &e.scratch
 	sc.views = tile.SplitViews(sc.views[:0], ref.Data, e.codec, e.opts.ChunkBytes)
+	var prevDone chan struct{} // nil: that select case never fires
+	if prev != nil && prev.active {
+		prevDone = prev.done
+	}
 	for j, r := range batch {
 		if mask&(1<<uint(j)) == 0 || r.finished {
 			continue
 		}
-		done.Add(len(sc.views))
 		for _, v := range sc.views {
-			e.work <- workItem{alg: r.alg, row: ref.Row, col: ref.Col, data: v, done: done}
+			grp.pending.Add(1)
+			item := workItem{alg: r.alg, row: ref.Row, col: ref.Col, data: v, grp: grp}
+			select {
+			case e.work <- item:
+				continue
+			case <-prevDone:
+			}
+			prev.active, prevDone = false, nil
+			err := settle()
+			e.work <- item // already counted in grp
+			if err != nil {
+				return err
+			}
 		}
 		r.stats.Chunks += int64(len(sc.views))
 		r.stats.TilesProcessed++
@@ -594,7 +686,10 @@ type sweepScratch struct {
 	masks     []uint64
 	fetch     []int
 	fetchMask []uint64
-	inCache   map[int]bool
+	// inCache[i] == epoch marks tile i as served by this iteration's
+	// rewind; bumping epoch clears every mark at once.
+	inCache []uint32
+	epoch   uint32
 	// view is the delta snapshot captured at the top of the current
 	// sweep iteration (nil without a delta store); dispatchTile merges
 	// it into every tile it fans out, so mutations become visible at
@@ -670,32 +765,42 @@ func (e *Engine) sweepIteration(batch []*runState) error {
 	}
 
 	// Rewind (§VI-D): process everything already cached before any I/O.
-	clear(sc.inCache)
+	if sc.epoch++; sc.epoch == 0 { // wrapped: stale marks could match again
+		clear(sc.inCache)
+		sc.epoch = 1
+	}
+	grp := &e.groups[0]
 	if cached := e.mm.CachedTiles(); e.opts.Cache != CacheNone && len(cached) > 0 {
-		var done sync.WaitGroup
+		grp.begin()
 		cs := time.Now()
+		var err error
 		for _, ref := range cached {
 			pos := indexSorted(sc.needed, ref.DiskIdx)
 			if pos < 0 {
 				continue
 			}
-			sc.inCache[ref.DiskIdx] = true
-			if err := e.dispatchTile(batch, sc.masks[pos], ref, 0, &done); err != nil {
-				done.Wait()
-				return err
+			sc.inCache[ref.DiskIdx] = sc.epoch
+			if err = e.dispatchTile(batch, sc.masks[pos], ref, 0, grp, nil, nil); err != nil {
+				break
 			}
 		}
-		done.Wait()
+		if werr := grp.finish(); err == nil {
+			err = werr
+		}
 		el := time.Since(cs)
 		statEach(batch, func(st *Stats) { st.Compute += el })
+		if err != nil {
+			return err
+		}
 	}
 
 	// Delta-only tiles hold inserted edges in tiles the base graph left
 	// empty; there is nothing to fetch for them, so they are dispatched
 	// here alongside the rewind (their data is wholly in memory).
 	if v := sc.view; v.NumTiles() > 0 {
-		var done sync.WaitGroup
+		grp.begin()
 		cs := time.Now()
+		var err error
 		for _, di := range v.TileIndexes() {
 			if e.g.TupleCount(di) != 0 {
 				continue // merged on the rewind/slide paths
@@ -715,20 +820,24 @@ func (e *Engine) sweepIteration(batch []*runState) error {
 			if mask == 0 {
 				continue
 			}
-			if err := e.dispatchTile(batch, mask, mem.TileRef{DiskIdx: di, Row: c.Row, Col: c.Col}, 0, &done); err != nil {
-				done.Wait()
-				return err
+			if err = e.dispatchTile(batch, mask, mem.TileRef{DiskIdx: di, Row: c.Row, Col: c.Col}, 0, grp, nil, nil); err != nil {
+				break
 			}
 		}
-		done.Wait()
+		if werr := grp.finish(); err == nil {
+			err = werr
+		}
 		el := time.Since(cs)
 		statEach(batch, func(st *Stats) { st.Compute += el })
+		if err != nil {
+			return err
+		}
 	}
 
 	sc.fetch = sc.fetch[:0]
 	sc.fetchMask = sc.fetchMask[:0]
 	for k, di := range sc.needed {
-		if !sc.inCache[di] {
+		if sc.inCache[di] != sc.epoch {
 			sc.fetch = append(sc.fetch, di)
 			sc.fetchMask = append(sc.fetchMask, sc.masks[k])
 		}
@@ -889,12 +998,22 @@ type inflight struct {
 // loaded tile is dispatched once per interested run of the batch, so
 // co-scheduled queries consume a single tile stream.
 //
+// The workers never wait for the driver between segments: as soon as
+// segment k's chunks are all on the work queue the driver waits for k+1's
+// bytes, verifies and splits them and queues k+1's chunks behind k's, and
+// it retires k — caching decision, buffer release, next submit — when k's
+// own work group drains, whichever of its waits that interrupts. There are
+// still exactly two streaming buffers, plans are submitted and retired in
+// plan order, and a buffer goes back to the device only after the last
+// chunk decoded from it is done.
+//
 // Error handling: a failed or short read is re-submitted with capped
 // exponential backoff up to Options.MaxRetries times before it fails the
 // sweep (and with it every run of the batch). Every error path drains the
-// in-flight completions it owns and releases every acquired segment, so a
-// failed sweep leaves the engine reusable: the next sweep starts with
-// both streaming buffers free and an empty completion stream.
+// in-flight completions it owns, waits out the chunks already queued, and
+// releases every acquired segment, so a failed sweep leaves the engine
+// reusable: the next sweep starts with both streaming buffers free, an
+// empty work queue and an empty completion stream.
 //
 // Cancellation: every run's ctx is polled before each completion wait, so
 // a canceled run leaves the batch within one I/O completion; the sweep
@@ -928,14 +1047,17 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 
 	var (
 		next        int
-		outstanding int // async requests in flight across the whole queue
+		outstanding int           // async requests in flight across the whole queue
+		tail        int           // segments retired so far: queue[tail] is the oldest still held
+		settling    time.Duration // time settle spent retiring and submitting, not waiting
 	)
 
 	// fail tears the pipeline down after err: it consumes every
-	// completion still owed to us and returns the segments held by the
-	// not-yet-retired tail of the queue (entries before head were
-	// released when they retired).
-	fail := func(head int, err error) error {
+	// completion still owed to us, waits until no worker reads a segment
+	// buffer any more, and returns the segments held by the not-yet-retired
+	// tail of the queue (entries before tail were released when they
+	// retired).
+	fail := func(err error) error {
 		for outstanding > 0 {
 			comps := e.array.Wait(1, sc.comps[:0])
 			if len(comps) == 0 {
@@ -943,7 +1065,9 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 			}
 			outstanding -= len(comps)
 		}
-		for i := head; i < len(queue); i++ {
+		e.groups[0].wait()
+		e.groups[1].wait()
+		for i := tail; i < len(queue); i++ {
 			e.mm.Release(queue[i].seg)
 		}
 		return err
@@ -1037,28 +1161,47 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 		return nil
 	}
 
+	// settle retires the oldest held segment once its last chunk is
+	// processed, and hands the freed buffer to the next load.
+	settle := func() error {
+		if err := e.groups[tail&1].wait(); err != nil {
+			return err
+		}
+		begin := time.Now()
+		e.retire(batch, queue[tail].seg)
+		tail++
+		err := submit()
+		settling += time.Since(begin)
+		return err
+	}
+
 	// Prime the double buffer: two loads in flight.
 	for i := 0; i < 2; i++ {
 		if err := submit(); err != nil {
-			return fail(0, err)
+			return fail(err)
 		}
 	}
 
 	comps := sc.comps
 	for head := 0; head < len(queue); head++ {
 		fl := &queue[head]
+		grp := &e.groups[head&1]
+		var prev *workGroup // the segment computing while this one is prepared
+		if tail < head {
+			prev = &e.groups[tail&1]
+		}
 		ws := time.Now()
 		for fl.left > 0 {
 			if pollBatch(batch) == 0 {
 				d := time.Since(ws)
 				statEach(batch, func(st *Stats) { st.IOWait += d })
-				return fail(head, errBatchDone)
+				return fail(errBatchDone)
 			}
 			comps = e.array.Wait(1, comps[:0])
 			if len(comps) == 0 {
 				d := time.Since(ws)
 				statEach(batch, func(st *Stats) { st.IOWait += d })
-				return fail(head, fmt.Errorf("core: storage closed during run"))
+				return fail(fmt.Errorf("core: storage closed during run"))
 			}
 			for ci, c := range comps {
 				if err := handle(c); err != nil {
@@ -1068,7 +1211,7 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 					d := time.Since(ws)
 					statEach(batch, func(st *Stats) { st.IOWait += d })
 					sc.comps = comps
-					return fail(head, err)
+					return fail(err)
 				}
 			}
 		}
@@ -1076,14 +1219,26 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 		statEach(batch, func(st *Stats) { st.IOWait += d })
 		sc.comps = comps
 
+		// If the previous segment drained while this one loaded, the
+		// device has nothing outstanding: give it the next load first.
+		if prev != nil {
+			select {
+			case <-prev.done:
+				prev.active = false
+				if err := settle(); err != nil {
+					return fail(err)
+				}
+			default:
+			}
+		}
+
 		// Verify the segment's tiles against their recorded checksums
 		// before any worker sees the data (no-op on v1 graphs).
 		if err := e.verifySegment(batch, fl.plan, fl.seg); err != nil {
-			return fail(head, err)
+			return fail(err)
 		}
 
-		// Register the loaded tiles and hand them to the workers; kick
-		// off the next load first so I/O overlaps compute (the slide).
+		// Register the loaded tiles.
 		if cap(sc.refs) < len(fl.plan.tiles) {
 			sc.refs = make([]mem.TileRef, 0, len(fl.plan.tiles))
 		}
@@ -1095,10 +1250,6 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 			})
 		}
 		fl.seg.SetTiles(refs)
-
-		if err := submit(); err != nil {
-			return fail(head, err)
-		}
 
 		// Shared-read request attribution: the plan's AIO batch is
 		// charged fractionally to the runs it served.
@@ -1121,24 +1272,26 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 			}
 		}
 
-		var done sync.WaitGroup
-		cs := time.Now()
+		// Queue this segment's chunks behind the previous segment's, then
+		// wait for the previous segment — unless a full work queue already
+		// made dispatchTile do so — and retire it, which starts the load
+		// after this one. The last segment has no successor to hide behind.
+		grp.begin()
+		cs, before := time.Now(), settling
+		var err error
 		for ti, ref := range refs {
-			if err := e.dispatchTile(batch, fl.plan.tiles[ti].mask, ref, fl.plan.tiles[ti].n, &done); err != nil {
-				done.Wait()
-				ce := time.Since(cs)
-				statEach(batch, func(st *Stats) { st.Compute += ce })
-				return fail(head, err)
+			if err = e.dispatchTile(batch, fl.plan.tiles[ti].mask, ref, fl.plan.tiles[ti].n, grp, prev, settle); err != nil {
+				break
 			}
 		}
-		done.Wait()
-		ce := time.Since(cs)
+		grp.release()
+		for err == nil && (tail < head || tail == head && head+1 == len(queue)) {
+			err = settle()
+		}
+		ce := time.Since(cs) - (settling - before)
 		statEach(batch, func(st *Stats) { st.Compute += ce })
-
-		e.retire(batch, fl.seg)
-		// Retiring freed a buffer; make sure the pipeline stays primed.
-		if err := submit(); err != nil {
-			return fail(head+1, err)
+		if err != nil {
+			return fail(err)
 		}
 	}
 	return nil

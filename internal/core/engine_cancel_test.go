@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
+	"github.com/gwu-systems/gstore/internal/graph"
 )
 
 // cancelAfter cancels a context once the wrapped algorithm finishes a
@@ -166,4 +167,45 @@ func TestRunBadRequestClassified(t *testing.T) {
 	if _, err := e.Run(context.Background(), algo.NewBFS(0)); err != nil {
 		t.Fatalf("run after bad requests failed: %v", err)
 	}
+}
+
+// TestRunCanceledWithNextSegmentQueued cancels while segment k is being
+// computed with k+1 already verified, split and queued behind it (the
+// workers are slow, the simulated device and the driver are not). The
+// sweep must notice at its next completion wait, wait out both segments'
+// chunks, release both buffers and leave the engine reusable.
+func TestRunCanceledWithNextSegmentQueued(t *testing.T) {
+	el := kron(t, 10, 8, 76)
+	g := convert(t, el, 5, 2)
+	opts := smallOpts()
+	opts.MemoryBytes = g.DataBytes() / 2
+	opts.SegmentSize = 1 // one tile per segment
+	e, err := NewEngine(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	k := &slowKernel{Algorithm: algo.NewPageRank(50), delay: 200 * time.Microsecond}
+	k.hook = func(call int64) {
+		if call == 2 {
+			cancel()
+		}
+	}
+	if _, err := e.Run(ctx, k); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	if n := k.calls.Load(); n > 64 {
+		t.Fatalf("run went on for %d edge batches after being canceled at the 2nd", n)
+	}
+	requireIdle(t, e)
+
+	b := algo.NewBFS(0)
+	if _, err := e.Run(context.Background(), b); err != nil {
+		t.Fatalf("rerun after cancel failed: %v", err)
+	}
+	requireDepths(t, "rerun", b.Depths(), graph.RefBFS(graph.NewCSR(el, false), 0))
+	requireIdle(t, e)
 }

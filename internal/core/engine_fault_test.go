@@ -362,3 +362,57 @@ func TestBackoffCanceledContext(t *testing.T) {
 		t.Fatalf("canceled backoff took %v, want immediate return", elapsed)
 	}
 }
+
+// TestFaultForNextSegmentWhileComputing arms the fault device from inside
+// the kernel, after the first two segments were read clean: the reads that
+// fail (retries exhausted), or come back corrupt twice (a persistent
+// checksum mismatch), belong to a later segment and arrive while slow
+// workers are still on the segments queued before it. Teardown must drain
+// both work groups before it releases the buffers, and the engine must run
+// clean once the device does.
+func TestFaultForNextSegmentWhileComputing(t *testing.T) {
+	el := kron(t, 10, 8, 26)
+	g := convert(t, el, 5, 2)
+	want := graph.RefPageRank(graph.NewCSR(el, false), graph.DefaultPageRank(3))
+	for name, armed := range map[string]storage.FaultConfig{
+		"read errors":       {Seed: 5, ErrorRate: 1},
+		"checksum mismatch": {Seed: 6, CorruptRate: 1, CorruptBytes: 2},
+	} {
+		opts := faultOpts(storage.FaultConfig{}, 1)
+		opts.MemoryBytes = g.DataBytes() / 2
+		opts.SegmentSize = 1 // one tile per segment
+		e, err := NewEngine(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd := e.array.(*storage.FaultDevice)
+		k := &slowKernel{Algorithm: algo.NewPageRank(3), delay: 200 * time.Microsecond}
+		k.hook = func(call int64) {
+			if call == 1 {
+				if err := fd.SetConfig(armed); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		st, err := e.Run(context.Background(), k)
+		var ie *IntegrityError
+		switch {
+		case name == "read errors" && !errors.Is(err, storage.ErrInjected):
+			t.Fatalf("%s: Run error = %v, want wrapped ErrInjected", name, err)
+		case name == "checksum mismatch" && (!errors.As(err, &ie) || st == nil || st.IntegrityErrors != 1):
+			t.Fatalf("%s: Run = (%+v, %v), want partial stats and *IntegrityError", name, st, err)
+		}
+		requireIdle(t, e)
+
+		if err := fd.SetConfig(storage.FaultConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		p := algo.NewPageRank(3)
+		if _, err := e.Run(context.Background(), p); err != nil {
+			t.Fatalf("%s: fault-free rerun: %v", name, err)
+		}
+		requireRanks(t, name, p.Ranks(), want)
+		requireIdle(t, e)
+		e.Close()
+	}
+}

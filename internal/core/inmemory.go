@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
@@ -82,7 +83,9 @@ func (m *MemGraph) Run(a algo.Algorithm, threads, maxIterations int) (*Stats, er
 	begin := time.Now()
 	for iter := 0; iter < maxIterations; iter++ {
 		a.BeforeIteration(iter)
-		m.processIteration(a, scratch, stats)
+		if ie := m.processIteration(a, scratch, stats); ie != nil {
+			return nil, ie
+		}
 		stats.Iterations = iter + 1
 		if a.AfterIteration(iter) {
 			break
@@ -95,18 +98,21 @@ func (m *MemGraph) Run(a algo.Algorithm, threads, maxIterations int) (*Stats, er
 }
 
 // processIteration runs one worker goroutine per scratch entry over the
-// tiles the kernel asks for.
-func (m *MemGraph) processIteration(a algo.Algorithm, scratch []edgeScratch, stats *Stats) {
+// tiles the kernel asks for and returns the first decode failure, if any.
+func (m *MemGraph) processIteration(a algo.Algorithm, scratch []edgeScratch, stats *Stats) *IntegrityError {
 	codec := m.g.Meta.TupleCodec()
-	work := make(chan int, len(scratch)*2) // same queue depth as the engine's work channel
+	work := make(chan int, len(scratch)*2)
 	var wg sync.WaitGroup
+	var failed atomic.Pointer[IntegrityError]
 	for id := range scratch {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			for i := range work {
 				co := m.g.Layout.CoordAt(i)
-				scratch[id].feed(a, id, m.g, codec, co.Row, co.Col, m.tiles[i])
+				if ie := scratch[id].feed(a, id, m.g, codec, co.Row, co.Col, m.tiles[i]); ie != nil {
+					failed.CompareAndSwap(nil, ie)
+				}
 			}
 		}(id)
 	}
@@ -124,4 +130,5 @@ func (m *MemGraph) processIteration(a algo.Algorithm, scratch []edgeScratch, sta
 	}
 	close(work)
 	wg.Wait()
+	return failed.Load()
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -165,4 +168,110 @@ func TestEngineV1GraphSkipsVerification(t *testing.T) {
 	if st.TilesVerified != 0 || st.ChecksumMismatches != 0 {
 		t.Fatalf("v1 run verified tiles: %+v", st)
 	}
+}
+
+// skipTile hides one tile from a kernel's selective fetch.
+type skipTile struct {
+	algo.Algorithm
+	row, col uint32
+}
+
+func (s *skipTile) NeedTileThisIter(row, col uint32) bool {
+	return (row != s.row || col != s.col) && s.Algorithm.NeedTileThisIter(row, col)
+}
+
+// A tile that passes its checksum and the framing walk but does not
+// decode — here a v3 block whose last varint never terminates, with the
+// CRC sidecar and the manifest recomputed over the damaged bytes, as a
+// converter or decoder bug would leave them — must fail the run with an
+// *IntegrityError naming the tile, through Engine.Run and Scheduler.Run
+// alike, instead of quietly dropping the rest of the tile's edges.
+func TestUndecodableTileFailsRun(t *testing.T) {
+	el := kron(t, 10, 8, 35)
+	g := convertCodec(t, el, 6, 4, "v3")
+	victim := -1
+	for i := 0; i < g.Layout.NumTiles() && victim < 0; i++ {
+		if g.TupleCount(i) > 2 {
+			victim = i
+		}
+	}
+	off, n := g.TileByteRange(victim)
+	base := g.BasePath()
+	meta := *g.Meta
+	manifest := *meta.Manifest
+	meta.Manifest = &manifest
+	g.Close()
+
+	tiles, err := os.ReadFile(base + ".tiles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, k := binary.Uvarint(tiles[off : off+n])
+	tiles[off+int64(k)+int64(size)-1] |= 0x80 // the first block's last byte gains a continuation bit
+	if err := tile.ValidateV3Frames(tiles[off : off+n]); err != nil {
+		t.Fatalf("the damage must leave the framing intact: %v", err)
+	}
+	crcs, err := os.ReadFile(base + ".crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(crcs[victim*4:], tile.Checksum(tiles[off:off+n]))
+	manifest.Tiles.CRC32C = tile.Checksum(tiles)
+	manifest.TileCRC.CRC32C = tile.Checksum(crcs)
+	payload, err := json.MarshalIndent(&meta, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append(payload, '\n')
+	signed := append(payload, fmt.Sprintf("#crc32c:%08x\n", tile.Checksum(payload))...)
+	for path, data := range map[string][]byte{base + ".tiles": tiles, base + ".crc": crcs, base + ".meta": signed} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err = tile.Open(base)
+	if err != nil {
+		t.Fatalf("resealed graph does not open: %v", err)
+	}
+	defer g.Close()
+
+	e, s := newSched(t, g, smallOpts())
+	c := g.Layout.CoordAt(victim)
+	check := func(what string, st *Stats, err error) {
+		t.Helper()
+		var ie *IntegrityError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: error = %v, want *IntegrityError", what, err)
+		}
+		if ie.Graph != g.Meta.Name || ie.Tile != victim || ie.Row != c.Row || ie.Col != c.Col {
+			t.Fatalf("%s: error names graph %q tile %d (%d,%d), want %q tile %d (%d,%d)",
+				what, ie.Graph, ie.Tile, ie.Row, ie.Col, g.Meta.Name, victim, c.Row, c.Col)
+		}
+		var ce *tile.ChecksumError
+		if errors.As(err, &ce) {
+			t.Fatalf("%s: reported as a checksum mismatch, but the checksum matches: %v", what, err)
+		}
+		if st == nil || st.IntegrityErrors != 1 || st.ChecksumMismatches != 0 || st.TilesVerified == 0 {
+			t.Fatalf("%s: stats = %+v, want partial stats with IntegrityErrors=1 and no mismatch", what, st)
+		}
+		requireIdle(t, e)
+	}
+	st, err := e.Run(context.Background(), algo.NewPageRank(3))
+	check("Engine.Run", st, err)
+	st, err = s.Run(context.Background(), algo.NewPageRank(3))
+	check("Scheduler.Run", st, err)
+	m, err := LoadInMemory(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ie *IntegrityError
+	if _, err := m.Run(algo.NewPageRank(2), 2, 0); !errors.As(err, &ie) || ie.Tile != victim {
+		t.Fatalf("MemGraph.Run error = %v, want *IntegrityError naming tile %d", err, victim)
+	}
+
+	// A run that never asks for the tile is untouched by it.
+	if _, err := e.Run(context.Background(), &skipTile{Algorithm: algo.NewPageRank(3), row: c.Row, col: c.Col}); err != nil {
+		t.Fatalf("run that skips the damaged tile: %v", err)
+	}
+	requireIdle(t, e)
 }

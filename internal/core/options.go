@@ -261,10 +261,20 @@ type Stats struct {
 	Algorithm  string
 	Iterations int
 	Elapsed    time.Duration
-	// IOWait is time the scheduler spent blocked on completions (I/O not
-	// hidden by the slide pipeline).
+	// IOWait, Compute and the rest of Elapsed split the sweep driver's own
+	// time three ways; they never overlap, so they never sum past Elapsed.
+	//
+	// IOWait is the time the driver spent blocked on device completions.
+	// It waits for segment k+1's bytes while the workers are still on
+	// segment k, so IOWait is an upper bound on the I/O the slide failed
+	// to hide from the workers, not a measure of it; WorkerBusy says how
+	// idle the workers really were.
 	IOWait time.Duration
-	// Compute is time spent processing tiles.
+	// Compute is the time the driver spent handing work items to the
+	// workers or blocked until a segment's (or the rewind's) last item was
+	// done. Verifying and splitting segment k+1, retiring segment k and
+	// the kernel's Before/AfterIteration hooks are in neither figure; the
+	// first overlaps the workers' processing of segment k.
 	Compute time.Duration
 
 	TilesProcessed int64

@@ -52,6 +52,20 @@ func DecodeBlock(data []byte, c Codec, rowBase, colBase uint32, src, dst *[V3Blo
 
 // decodeV3Block decodes one length-framed v3 block, validating the frame,
 // the tuple count and every varint field as it goes.
+//
+// While at least eight payload bytes remain, a tuple is decoded from one
+// unaligned 64-bit load with shifts and masks. The encoders emit fields of
+// at most v3MaxField, so at most three varint bytes each, and on real
+// tiles nearly every tuple is a 1-byte source delta followed by a 1- or
+// 2-byte destination field: that shape has no data-dependent branch (the
+// field length is the continuation bit used as a number, the "same source
+// run adds the previous destination" rule a mask). Source deltas of 128
+// and more and 3-byte fields take branches that are rarely taken. A field
+// of four or more varint bytes — nothing an encoder writes, but something
+// binary.Uvarint may accept — sends the whole block through the
+// binary.Uvarint loop below, which also decodes the last < 8 bytes of
+// every payload, so the accepted and rejected inputs are exactly that
+// loop's.
 func decodeV3Block(data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuples]uint32) (int, []byte, error) {
 	payload, rest, err := v3Frame(data)
 	if err != nil {
@@ -61,30 +75,71 @@ func decodeV3Block(data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuple
 	if k <= 0 || count == 0 || count > V3BlockTuples {
 		return 0, nil, fmt.Errorf("tile: v3 block has bad tuple count %d", count)
 	}
-	payload = payload[k:]
 	n := int(count)
-	prevSrc, prevDst := uint32(0), uint32(0)
-	for i := 0; i < n; i++ {
+	// s is the previous tuple's source as a full vertex ID, d its
+	// destination as an in-tile offset (the range check is on offsets).
+	s, d := rowBase, uint32(0)
+	i, p := 0, k
+	for ; i < n && p+8 <= len(payload); i++ {
+		w := binary.LittleEndian.Uint64(payload[p : p+8])
+		srcDelta := uint32(w & 0x7f)
+		if w&0x80 != 0 {
+			w >>= 8
+			p++
+			srcDelta |= uint32(w&0x7f) << 7
+			if w&0x80 != 0 {
+				w >>= 8
+				p++
+				srcDelta |= uint32(w&0x7f) << 14
+			}
+			if w&0x80 != 0 || srcDelta > v3MaxField {
+				i, p, s, d = 0, k, rowBase, 0
+				break
+			}
+		}
+		// The destination field starts at byte 1 of w, and at least five
+		// bytes of w from there on are payload.
+		two := uint32(w >> 15 & 1)
+		field := uint32(w>>8&0x7f) | uint32(w>>16&0x7f)<<7&-two
+		p += 2 + int(two)
+		if two&uint32(w>>23) != 0 {
+			p++
+			field |= uint32(w>>24&0x7f) << 14
+			if w>>31&1 != 0 {
+				i, p, s, d = 0, k, rowBase, 0
+				break
+			}
+			// A field above v3MaxField fails the check on d below.
+		}
+		// srcDelta == 0 continues the source run, whose field is a delta
+		// from the previous destination (zero before the first tuple).
+		d = field + d&-((srcDelta-1)>>31)
+		if d > v3MaxField {
+			return 0, nil, fmt.Errorf("tile: v3 block tuple %d destination offset out of range", i)
+		}
+		s += srcDelta
+		src[i], dst[i] = s, colBase+d
+	}
+	payload = payload[p:]
+	for ; i < n; i++ {
 		srcDelta, k := binary.Uvarint(payload)
 		if k <= 0 || srcDelta > v3MaxField {
 			return 0, nil, fmt.Errorf("tile: v3 block tuple %d has corrupt source delta", i)
 		}
 		payload = payload[k:]
-		dstField, k := binary.Uvarint(payload)
-		if k <= 0 || dstField > v3MaxField {
+		field, k := binary.Uvarint(payload)
+		if k <= 0 || field > v3MaxField {
 			return 0, nil, fmt.Errorf("tile: v3 block tuple %d has corrupt destination field", i)
 		}
 		payload = payload[k:]
-		s := prevSrc + uint32(srcDelta)
-		d := uint32(dstField)
 		if i > 0 && srcDelta == 0 {
-			d += prevDst
+			field += uint64(d)
 		}
-		if d > v3MaxField {
+		if field > v3MaxField {
 			return 0, nil, fmt.Errorf("tile: v3 block tuple %d destination offset out of range", i)
 		}
-		src[i], dst[i] = rowBase+s, colBase+d
-		prevSrc, prevDst = s, d
+		s, d = s+uint32(srcDelta), uint32(field)
+		src[i], dst[i] = s, colBase+d
 	}
 	if len(payload) != 0 {
 		return 0, nil, fmt.Errorf("tile: v3 block has %d trailing bytes after %d tuples", len(payload), n)

@@ -76,15 +76,82 @@ func refDecodeV3(data []byte, rowBase, colBase uint32, fn func(src, dst uint32))
 	return nil
 }
 
+// refDecodeV3Block is decodeV3Block as it was before the word-at-a-time
+// fast path: two binary.Uvarint calls per tuple. It is the oracle for one
+// block — the same (n, rest, src, dst), or the same rejection.
+func refDecodeV3Block(data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuples]uint32) (int, []byte, error) {
+	payload, rest, err := v3Frame(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	count, k := binary.Uvarint(payload)
+	if k <= 0 || count == 0 || count > V3BlockTuples {
+		return 0, nil, fmt.Errorf("bad tuple count %d", count)
+	}
+	payload = payload[k:]
+	n := int(count)
+	prevSrc, prevDst := uint32(0), uint32(0)
+	for i := 0; i < n; i++ {
+		srcDelta, k := binary.Uvarint(payload)
+		if k <= 0 || srcDelta > v3MaxField {
+			return 0, nil, fmt.Errorf("tuple %d has corrupt source delta", i)
+		}
+		payload = payload[k:]
+		dstField, k := binary.Uvarint(payload)
+		if k <= 0 || dstField > v3MaxField {
+			return 0, nil, fmt.Errorf("tuple %d has corrupt destination field", i)
+		}
+		payload = payload[k:]
+		s := prevSrc + uint32(srcDelta)
+		d := uint32(dstField)
+		if i > 0 && srcDelta == 0 {
+			d += prevDst
+		}
+		if d > v3MaxField {
+			return 0, nil, fmt.Errorf("tuple %d destination offset out of range", i)
+		}
+		src[i], dst[i] = rowBase+s, colBase+d
+		prevSrc, prevDst = s, d
+	}
+	if len(payload) != 0 {
+		return 0, nil, fmt.Errorf("%d trailing bytes after %d tuples", len(payload), n)
+	}
+	return n, rest, nil
+}
+
+// tight returns a copy of data whose capacity equals its length and that
+// ends where its allocation ends, so a decoder that looks past len(data)
+// — which a slice expression permits up to the capacity — panics instead
+// of reading a neighbour's bytes unnoticed.
+func tight(data []byte) []byte {
+	const lead = 16
+	buf := make([]byte, lead+len(data))
+	copy(buf[lead:], data)
+	return buf[lead:len(buf):len(buf)]
+}
+
 // blockDecode drives DecodeBlock the way the engine's workers do and
 // collects the edges; it also checks the per-call contract (batch size,
-// progress, nothing delivered on error).
+// progress, nothing delivered on error) and, block by block, that a v3
+// decode matches refDecodeV3Block. The input is decoded from a tight copy.
 func blockDecode(t testing.TB, data []byte, c Codec, rowBase, colBase uint32) ([]uint64, error) {
 	t.Helper()
-	var src, dst [V3BlockTuples]uint32
+	data = tight(data)
+	var src, dst, wantSrc, wantDst [V3BlockTuples]uint32
 	var out []uint64
 	for len(data) > 0 {
 		n, rest, err := DecodeBlock(data, c, rowBase, colBase, &src, &dst)
+		if c == CodecV3 {
+			wantN, wantRest, wantErr := refDecodeV3Block(data, rowBase, colBase, &wantSrc, &wantDst)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("v3 block at %d bytes from the end: err = %v, Uvarint decoder err = %v", len(data), err, wantErr)
+			}
+			if err == nil && (n != wantN || len(rest) != len(wantRest) ||
+				!reflect.DeepEqual(src[:n], wantSrc[:n]) || !reflect.DeepEqual(dst[:n], wantDst[:n])) {
+				t.Fatalf("v3 block at %d bytes from the end: %d tuples and %d bytes left, Uvarint decoder %d and %d, or the tuples differ",
+					len(data), n, len(rest), wantN, len(wantRest))
+			}
+		}
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("DecodeBlock returned %d tuples with error %v", n, err)
@@ -236,9 +303,6 @@ func TestDecodeBlockRejectsWhatReferenceRejects(t *testing.T) {
 	good := AppendV3(nil, []uint32{V3Key(1, 2, 12), V3Key(1, 9, 12), V3Key(4, 0, 12)}, 12)
 	overlong := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
 	tooBig := binary.AppendUvarint(nil, v3MaxField+1)
-	v3Block := func(payload ...byte) []byte { // one length-framed block
-		return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
-	}
 	cases := []struct {
 		name string
 		c    Codec
@@ -280,6 +344,150 @@ func TestDecodeBlockRejectsWhatReferenceRejects(t *testing.T) {
 			mut := append([]byte(nil), good...)
 			mut[pos] ^= xor
 			requireSameDecode(t, fmt.Sprintf("v3 byte %d ^ %#x", pos, xor), mut, CodecV3, 64, 128)
+		}
+	}
+}
+
+// v3Block frames payload as one v3 block.
+func v3Block(payload ...byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// TestV3FastPathMatchesUvarintDecoder walks the word-at-a-time decoder
+// through every tuple shape the encoder emits — tile widths whose fields
+// take one, two and three varint bytes, block-boundary tuple counts, one
+// long source run, a new run per tuple, and a mix — against the
+// binary.Uvarint decoder (the comparison is inside blockDecode).
+func TestV3FastPathMatchesUvarintDecoder(t *testing.T) {
+	for _, bits := range []uint{4, 12, 16} {
+		width := uint32(1) << bits
+		for _, count := range []int{1, 2, 7, V3BlockTuples - 1, V3BlockTuples, V3BlockTuples + 1} {
+			for _, density := range []string{"one run", "new run per tuple", "mixed"} {
+				keys := make([]uint32, count)
+				for i := range keys {
+					var so, do uint32
+					switch density {
+					case "one run":
+						so, do = width-1, uint32(i)*40503%width
+					case "new run per tuple": // distinct sources while the width allows
+						so, do = uint32(i)*127%width, uint32(i)*40503%width
+					default:
+						so, do = uint32(i)/5*3%width, uint32(i*i)%width
+					}
+					keys[i] = V3Key(so, do, bits)
+				}
+				data := AppendV3(nil, keys, bits)
+				what := fmt.Sprintf("bits %d, %d tuples, %s", bits, count, density)
+				got, err := requireSameDecode(t, what, data, CodecV3, 7<<bits, 9<<bits)
+				if err != nil || len(got) != count {
+					t.Fatalf("%s: decoded %d tuples, err %v", what, len(got), err)
+				}
+				// Every truncation is rejected or decodes to a prefix, as the
+				// Uvarint decoder decides.
+				for cut := 0; cut < len(data); cut += 1 + len(data)/97 {
+					requireSameDecode(t, fmt.Sprintf("%s cut at %d", what, cut), data[:cut], CodecV3, 0, 0)
+				}
+			}
+		}
+	}
+}
+
+// TestV3TailLengths builds blocks from every mix of 2- to 6-byte tuples and
+// checks that the hand-over from the 64-bit loads to the byte-wise tail
+// happens at every distance from the payload's end it can — 2 to 7 bytes: a
+// load needs 8 bytes and a tuple takes at most 6 of them — as well as not
+// at all (payloads under 8 bytes), each decoding like the Uvarint decoder.
+func TestV3TailLengths(t *testing.T) {
+	shapes := [][2]uint32{{1, 5}, {0, 300}, {200, 7}, {300, 20000}, {20000, 20000}} // 2, 3, 3, 5, 6 bytes
+	seen := map[int]bool{}
+	for count := 1; count <= 12; count++ {
+		for pick := 0; pick < 125; pick++ {
+			payload := binary.AppendUvarint(nil, uint64(count))
+			p, lens := pick, make([]int, count)
+			for i := 0; i < count; i++ {
+				sh := shapes[p%len(shapes)]
+				p = p/len(shapes) + i
+				before := len(payload)
+				payload = binary.AppendUvarint(binary.AppendUvarint(payload, uint64(sh[0])), uint64(sh[1]))
+				lens[i] = len(payload) - before
+			}
+			pos, i := 1, 0
+			for ; i < count && pos+8 <= len(payload); i++ {
+				pos += lens[i]
+			}
+			if i > 0 {
+				seen[len(payload)-pos] = true
+			}
+			if _, err := requireSameDecode(t, fmt.Sprintf("%d tuples, pick %d", count, pick), v3Block(payload...), CodecV3, 64, 128); err != nil {
+				t.Fatalf("%d tuples, pick %d: %v", count, pick, err)
+			}
+		}
+	}
+	for tail := 2; tail < 8; tail++ {
+		if !seen[tail] {
+			t.Errorf("no block left %d bytes to the tail loop", tail)
+		}
+	}
+}
+
+// TestV3VarintEdgeCases feeds the decoder fields no encoder writes but
+// binary.Uvarint has an opinion on — non-canonical, over-long, overflowing,
+// out of range — first in a block (under the 64-bit loads) and last in it
+// (in the byte-wise tail). Whatever the Uvarint decoder says, goes.
+func TestV3VarintEdgeCases(t *testing.T) {
+	fields := map[string][]byte{
+		"zero in two bytes":        {0x80, 0x00},
+		"one in three bytes":       {0x81, 0x80, 0x00},
+		"zero in four bytes":       {0x80, 0x80, 0x80, 0x00},
+		"five in ten bytes":        {0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+		"eleven bytes":             {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"overflows 64 bits":        {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		"v3MaxField":               binary.AppendUvarint(nil, v3MaxField),
+		"v3MaxField + 1":           binary.AppendUvarint(nil, v3MaxField+1),
+		"largest three-byte value": {0xff, 0xff, 0x7f},
+		"2^21 in four bytes":       {0x80, 0x80, 0x80, 0x01},
+		"unterminated":             {0x80, 0x80},
+	}
+	pad := []byte{1, 1, 0, 2, 0, 3, 1, 4, 0, 5} // five 2-byte tuples: 10 bytes
+	for name, f := range fields {
+		for _, where := range []string{"source first", "destination first", "source last", "destination last"} {
+			payload := []byte{6} // six tuples: the odd one and the padding
+			odd := append(append([]byte(nil), f...), 1)
+			if where[0] == 'd' {
+				odd = append([]byte{1}, f...)
+			}
+			if where[len(where)-5:] == "first" {
+				payload = append(append(payload, odd...), pad...)
+			} else {
+				payload = append(append(payload, pad...), odd...)
+			}
+			requireSameDecode(t, name+", "+where, v3Block(payload...), CodecV3, 64, 128)
+		}
+	}
+	// A run whose destination deltas add up past v3MaxField: every field is
+	// in range, the sum is not.
+	big := binary.AppendUvarint(nil, v3MaxField-1)
+	run := append(append([]byte{4, 0}, big...), 0, 1, 0, 1, 0, 1, 9, 9, 9, 9, 9, 9)
+	if _, err := requireSameDecode(t, "destination sum out of range", v3Block(run[:len(run)-6]...), CodecV3, 0, 0); err == nil {
+		t.Error("destination sum out of range: accepted")
+	}
+}
+
+// TestV3EveryByteFlip flips every bit, and every whole byte, of a
+// multi-block tile with three-byte fields: same verdict and tuples as the
+// Uvarint decoder each time.
+func TestV3EveryByteFlip(t *testing.T) {
+	keys := make([]uint32, V3BlockTuples+9)
+	for i := range keys {
+		keys[i] = V3Key(uint32(i)*131%65536, uint32(i)*40503%65536, 16)
+	}
+	good := AppendV3(nil, keys, 16)
+	mut := make([]byte, len(good))
+	for pos := range good {
+		for _, xor := range []byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff} {
+			copy(mut, good)
+			mut[pos] ^= xor
+			requireSameDecode(t, fmt.Sprintf("byte %d ^ %#x", pos, xor), mut, CodecV3, 0, 0)
 		}
 	}
 }

@@ -107,8 +107,9 @@ func FuzzDecodeTuples(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, codec uint8) {
 		c := Codec(codec % 3)
 		// Same verdict and tuple sequence as the closure decoders the
-		// block decoder replaced — on the input as a whole and on every
-		// view the splitter cuts it into.
+		// block decoder replaced (and, block by block, as the binary.Uvarint
+		// v3 decoder; from a copy that ends where its allocation ends) — on
+		// the input as a whole and on every view the splitter cuts it into.
 		whole, err := requireSameDecode(t, "fuzz input", data, c, 64, 128)
 		n := len(whole)
 		if err == nil {
@@ -168,11 +169,15 @@ func FuzzV3RoundTrip(f *testing.F) {
 		if err := ValidateV3Frames(data); err != nil {
 			t.Fatalf("encoder produced invalid framing: %v", err)
 		}
-		var got []uint32
-		if err := DecodeTuples(data, CodecV3, 0, 0, func(s, d uint32) {
-			got = append(got, V3Key(s, d, uint(bits)))
-		}); err != nil {
+		// Decoded from a tight copy and compared block by block with the
+		// binary.Uvarint decoder (see blockDecode).
+		tuples, err := requireSameDecode(t, "round trip", data, CodecV3, 0, 0)
+		if err != nil {
 			t.Fatalf("round trip decode: %v", err)
+		}
+		var got []uint32
+		for _, e := range tuples {
+			got = append(got, V3Key(uint32(e>>32), uint32(e), uint(bits)))
 		}
 		sortU32(want)
 		if len(got) != len(want) {
@@ -201,8 +206,8 @@ func FuzzV3RoundTrip(f *testing.F) {
 }
 
 // FuzzV3Corrupt flips bytes in valid encodings: decode must reach the
-// closure decoder's verdict (error, or tuples inside the field sanity
-// bounds) and never panic.
+// closure and binary.Uvarint decoders' verdict (error, or tuples inside the
+// field sanity bounds), never panic and never look past the input's end.
 func FuzzV3Corrupt(f *testing.F) {
 	seed := AppendV3(nil, []uint32{0, 5, 5, 1 << 20, 1<<24 | 9}, 12)
 	f.Add(seed, 0, uint8(0xff))

@@ -138,7 +138,7 @@ func cmdInfo(args []string) error {
 		m.TileBits, g.Layout.P, g.Layout.NumTiles())
 	fmt.Printf("groups:      %dx%d tiles\n", m.GroupQ, m.GroupQ)
 	fmt.Printf("directed:    %v   half-stored: %v   codec: %s\n", m.Directed, m.Half, m.TupleCodec())
-	fmt.Printf("format:      v%d   checksummed: %v\n", m.Version, g.Checksummed())
+	fmt.Printf("format:      v%d\n", m.Version)
 	fmt.Printf("data:        %s (+%s start-edge)\n",
 		report.Bytes(g.DataBytes()), report.Bytes(g.StartBytes()))
 	return nil
@@ -180,17 +180,13 @@ func cmdFsck(args []string) error {
 	}
 	r := tile.Fsck(*path)
 	dFindings, dNotes := delta.Fsck(*path)
-	mode := "full (per-tile crc32c)"
-	if !r.Checksummed {
-		mode = "structural only (v1 graph, no checksums)"
-	}
 	for _, n := range dNotes {
 		fmt.Printf("fsck: note: %s\n", n)
 	}
 	problems := len(r.Findings) + len(dFindings)
 	if r.OK() && len(dFindings) == 0 {
-		fmt.Printf("%s: OK — format v%d, %s; %d tiles, %d tuples checked\n",
-			*path, r.Version, mode, r.TilesChecked, r.TuplesChecked)
+		fmt.Printf("%s: OK — format v%d, full (per-tile crc32c); %d tiles, %d tuples checked\n",
+			*path, r.Version, r.TilesChecked, r.TuplesChecked)
 		return nil
 	}
 	for _, f := range r.Findings {

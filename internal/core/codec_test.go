@@ -246,7 +246,7 @@ func TestUnattributedBytesCounted(t *testing.T) {
 	if err := grp.finish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.UnattributedBytes(); got != 4096 {
+	if got := e.Counters().UnattributedBytes; got != 4096 {
 		t.Fatalf("UnattributedBytes = %d, want 4096", got)
 	}
 	// A dispatch with a live interested run charges the run, not the
@@ -271,7 +271,7 @@ func TestUnattributedBytesCounted(t *testing.T) {
 	if err := grp.finish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.UnattributedBytes(); got != 4096 {
+	if got := e.Counters().UnattributedBytes; got != 4096 {
 		t.Fatalf("live dispatch leaked %d unattributed bytes", got-4096)
 	}
 	if live.bytesFrac != 512 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,10 +44,12 @@ var errBatchDone = errors.New("core: every run in the batch finished")
 // consume the pool before issuing any I/O (Figure 8).
 //
 // One engine drives one sweep at a time, but a sweep may carry a whole
-// batch of co-scheduled algorithm runs (see Scheduler): the fetched tile
-// stream is planned over the union of the batch's selective-fetch sets
-// and each fetched tile is dispatched once per interested run, so N
-// concurrent queries share a single pass over the disk.
+// batch of co-scheduled algorithm runs: the fetched tile stream is planned
+// over the union of the batch's selective-fetch sets and each fetched tile
+// is dispatched once per interested run, so N concurrent queries share a
+// single pass over the disk. There is one run loop — step, which drives a
+// batch through one iteration and seals the runs it finished. Run calls it
+// for a batch of one; a Scheduler calls it for whatever it has admitted.
 type Engine struct {
 	g     *tile.Graph
 	opts  Options
@@ -81,14 +84,11 @@ type Engine struct {
 
 	// unattributedBytes accumulates fetched tile bytes whose interested
 	// runs all finished before dispatch: the I/O happened but no live run
-	// was left to charge. Engine-lifetime counter; Run reports the delta
-	// it observed in Stats.UnattributedBytes.
+	// was left to charge. Engine-lifetime counter (see Counters).
 	unattributedBytes atomic.Int64
 
-	// ra, when the device accepts hints, receives next-iteration tile
-	// ranges (the NeedTileNextIter union) after each sweep; raBudget
-	// caps the hinted bytes per iteration.
-	ra       storage.Readaheader
+	// raBudget caps the bytes of next-iteration tile ranges (the
+	// NeedTileNextIter union) hinted to the device after each sweep.
 	raBudget int64
 }
 
@@ -102,26 +102,48 @@ type runState struct {
 	stats *Stats
 	iter  int
 
-	// finished is set by the sweep (convergence, cancellation, or a
-	// sweep-fatal error); err is the run's outcome. completed marks
-	// driver-side finalization (stats sealed, waiter released).
-	finished  bool
-	completed bool
-	err       error
-	done      chan struct{}
-	began     time.Time
+	// finished is set by step (convergence, MaxIterations, cancellation,
+	// or a sweep-fatal error) and err is then the run's outcome; step
+	// seals the stats of every run it finishes before it returns. done,
+	// which only a Scheduler makes, releases the goroutine waiting in
+	// Scheduler.Run once the run's slot has been handed on.
+	finished bool
+	err      error
+	done     chan struct{}
+	began    time.Time
 
 	// Fractional attribution of shared I/O: a tile fetched for k
 	// interested runs charges each of them 1/k of its bytes and requests.
 	bytesFrac float64
 	reqFrac   float64
 
-	// startExt snapshots the backend's extended counters at admission so
-	// completeFinished can seal Stats.IO as this run's window delta.
-	// Co-scheduled runs overlap, so their IO windows overlap too (like
-	// Stats.Storage, unlike the fractional bytes/requests above).
-	startExt storage.ExtStats
-	hasExt   bool
+	// start is the engine's lifetime counters when the run joined its
+	// first step; seal reports the run's window as the difference.
+	// Co-scheduled runs overlap, so their windows overlap too (unlike the
+	// fractional bytes/requests above).
+	joined bool
+	start  Counters
+	// traced is the run's cumulative figures at its last Options.Trace
+	// event, which reports the difference.
+	traced traceMark
+}
+
+// traceMark is the part of Stats an iteration trace event reports deltas of.
+type traceMark struct {
+	tiles, cached, skipped int64
+	iowait, compute        time.Duration
+}
+
+// outcome is what Run returns for a finished run: the stats on success,
+// the partial stats beside an *IntegrityError (so the verification and
+// mismatch counters still reach the caller's metrics), and only the error
+// for every other failure.
+func (r *runState) outcome() (*Stats, error) {
+	var ie *IntegrityError
+	if r.err != nil && !errors.As(r.err, &ie) {
+		return nil, r.err
+	}
+	return r.stats, r.err
 }
 
 // prepare validates and initializes a for this engine's graph and wraps
@@ -159,15 +181,13 @@ func (e *Engine) prepare(ctx context.Context, a algo.Algorithm) (*runState, erro
 		alg:   a,
 		ctx:   ctx,
 		stats: &Stats{Algorithm: a.Name()},
-		done:  make(chan struct{}),
 		began: time.Now(),
 	}, nil
 }
 
 // pollBatch marks canceled runs finished and reports how many runs are
-// still live. It is the batch generalization of the solo ctx.Err() poll:
-// one disconnected client leaves the sweep at the next poll point without
-// disturbing its co-scheduled neighbors.
+// still live: one disconnected client leaves the sweep at the next poll
+// point without disturbing its co-scheduled neighbors.
 func pollBatch(batch []*runState) int {
 	alive := 0
 	for _, r := range batch {
@@ -352,16 +372,9 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 		array.Close()
 		return nil, err
 	}
-	e := &Engine{g: g, opts: opts, array: array, mm: mman, codec: g.Meta.TupleCodec()}
-	if ra, ok := array.(storage.Readaheader); ok {
-		e.ra = ra
-		e.raBudget = opts.ReadaheadBytes
-		if e.raBudget == 0 && opts.Backend == "file" {
-			e.raBudget = 8 << 20
-		}
-		if e.raBudget < 0 {
-			e.raBudget = 0
-		}
+	e := &Engine{g: g, opts: opts, array: array, mm: mman, codec: g.Meta.TupleCodec(), raBudget: opts.ReadaheadBytes}
+	if e.raBudget == 0 && opts.Backend == "file" {
+		e.raBudget = 8 << 20
 	}
 	e.scratch.inCache = make([]uint32, g.Layout.NumTiles())
 	for i := range e.groups {
@@ -376,10 +389,41 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// UnattributedBytes reports the engine-lifetime total of fetched tile
-// bytes that could not be charged to any run (every interested run had
-// finished by dispatch time).
-func (e *Engine) UnattributedBytes() int64 { return e.unattributedBytes.Load() }
+// Counters is a snapshot of an engine's lifetime counters: what its
+// device, its dispatcher and its workers have done since NewEngine. A run
+// keeps the snapshot taken when it joined its first sweep and reports the
+// difference to the one taken when it was sealed (Stats.IO, Faults,
+// UnattributedBytes, WorkerBusy, WorkerChunks); the sealing snapshot
+// itself travels in Stats.Totals, because the windows of co-scheduled
+// runs overlap and only the totals can be published without counting
+// anything twice.
+type Counters struct {
+	// IO is the device's extended counters, injected faults included.
+	IO storage.ExtStats
+	// UnattributedBytes is the fetched tile bytes that could be charged to
+	// no run: every run interested in the tile had finished by the time it
+	// was dispatched.
+	UnattributedBytes int64
+	// WorkerBusy is, per worker ID, the time spent inside kernel code;
+	// WorkerChunks the work items processed.
+	WorkerBusy   []time.Duration
+	WorkerChunks []int64
+}
+
+// Counters snapshots the engine's lifetime counters.
+func (e *Engine) Counters() Counters {
+	c := Counters{
+		IO:                e.array.ExtStats(),
+		UnattributedBytes: e.unattributedBytes.Load(),
+		WorkerBusy:        make([]time.Duration, len(e.workers)),
+		WorkerChunks:      make([]int64, len(e.workers)),
+	}
+	for i := range e.workers {
+		c.WorkerBusy[i] = time.Duration(e.workers[i].busyNS.Load())
+		c.WorkerChunks[i] = e.workers[i].chunks.Load()
+	}
+	return c
+}
 
 // SetDeltaStore attaches (or, with nil, detaches) a mutable delta layer.
 // Must not be called while a run is in flight; the next sweep iteration
@@ -536,18 +580,10 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 	return nil
 }
 
-// workerSnapshot copies the cumulative per-worker counters.
-func (e *Engine) workerSnapshot() (busy []int64, chunks []int64) {
-	busy = make([]int64, len(e.workers))
-	chunks = make([]int64, len(e.workers))
-	for i := range e.workers {
-		busy[i] = e.workers[i].busyNS.Load()
-		chunks[i] = e.workers[i].chunks.Load()
-	}
-	return busy, chunks
-}
-
 // Run executes a on the graph until convergence and returns statistics.
+// It is a batch of one stepped on the caller's goroutine: everything a run
+// does or reports is in step and seal, which a Scheduler drives the same
+// way for the runs it co-schedules.
 //
 // ctx cancels the run: it is checked between iterations and inside the
 // slide loop's completion wait, so a disconnected client or a daemon
@@ -556,123 +592,143 @@ func (e *Engine) workerSnapshot() (busy []int64, chunks []int64) {
 // acquired, and leaves the engine reusable for the next Run.
 //
 // Errors caused by the algorithm's arguments (Init validation) are
-// wrapped in *BadRequestError; everything else is an engine or storage
-// failure.
+// wrapped in *BadRequestError; an *IntegrityError comes with the partial
+// stats; everything else is an engine or storage failure.
 //
-// Run is the solo entry point and must not be called concurrently with
-// itself or with a Scheduler on the same engine; servers co-scheduling
-// queries go through Scheduler.Run instead.
+// Run must not be called concurrently with itself or with a Scheduler on
+// the same engine; servers co-scheduling queries go through Scheduler.Run
+// instead.
 func (e *Engine) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 	r, err := e.prepare(ctx, a)
 	if err != nil {
 		return nil, err
 	}
-	ctx = r.ctx
 	e.mm.Clear()
-
-	stats := r.stats
-	busyStart, chunksStart := e.workerSnapshot()
-	startStorage := e.array.Stats()
-	startExt, hasExt := storage.ExtStatsOf(e.array)
-	startUnattr := e.unattributedBytes.Load()
-	fd, hasFaults := e.array.(*storage.FaultDevice)
-	var startFaults storage.FaultStats
-	if hasFaults {
-		startFaults = fd.FaultStats()
+	for batch := []*runState{r}; !r.finished; {
+		e.step(batch)
 	}
-	begin := time.Now()
-	batch := []*runState{r}
+	return r.outcome()
+}
 
-	for iter := 0; iter < e.opts.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: run canceled before iteration %d: %w", iter, err)
+// step drives batch, none of whose runs has finished, through one shared
+// iteration — or through none, if every run turns out to be canceled — and
+// seals the runs that finished in it. It is the engine's only run loop
+// body: the cancellation poll, the kernels' Before/AfterIteration hooks,
+// the sweep, the fan-out of a sweep-fatal error to every rider, the
+// MaxIterations bound and the trace event all happen here and nowhere
+// else. The caller owns the engine's sweep for the duration and drops
+// finished runs from the batch before it steps again.
+func (e *Engine) step(batch []*runState) {
+	for _, r := range batch {
+		if !r.joined {
+			r.joined, r.start = true, e.Counters()
 		}
-		r.iter = iter
-		a.BeforeIteration(iter)
-		before := *stats
-		beforeIO := e.array.Stats()
-		if err := e.sweepIteration(batch); err != nil {
-			if errors.Is(err, errBatchDone) {
-				// The only run was canceled mid-sweep; its outcome is on
-				// the runState.
-				if r.err == nil {
-					r.err = fmt.Errorf("core: run canceled: %w", context.Canceled)
-				}
-				return nil, r.err
-			}
-			var ie *IntegrityError
-			if errors.As(err, &ie) {
-				// Integrity failures return the partial stats so the
-				// verification and mismatch counters still reach the
-				// caller's metrics.
-				stats.IntegrityErrors++
-				stats.Elapsed = time.Since(begin)
-				stats.UnattributedBytes = e.unattributedBytes.Load() - startUnattr
-				if hasFaults {
-					stats.Faults = fd.FaultStats().Sub(startFaults)
-				}
-				if hasExt {
-					endExt, _ := storage.ExtStatsOf(e.array)
-					stats.IO = endExt.Sub(startExt)
-				}
-				return stats, err
-			}
-			return nil, err
+		// Batch occupancy: every rider records the peak company it kept.
+		if n := len(batch); n > r.stats.SharedRuns {
+			r.stats.SharedRuns = n
 		}
-		stats.Iterations = iter + 1
-		done := a.AfterIteration(iter)
+	}
+	if pollBatch(batch) > 0 {
+		var readBefore int64
 		if e.opts.Trace != nil {
-			afterIO := e.array.Stats()
-			metrics.WriteEvent(e.opts.Trace, "iteration",
-				metrics.KV{Key: "algo", Value: a.Name()},
-				metrics.KV{Key: "iter", Value: iter},
-				metrics.KV{Key: "tiles", Value: stats.TilesProcessed - before.TilesProcessed},
-				metrics.KV{Key: "cached", Value: stats.TilesFromCache - before.TilesFromCache},
-				metrics.KV{Key: "skipped", Value: stats.TilesSkipped - before.TilesSkipped},
-				metrics.KV{Key: "read_bytes", Value: afterIO.BytesRead - beforeIO.BytesRead},
-				metrics.KV{Key: "iowait", Value: (stats.IOWait - before.IOWait).Round(time.Microsecond)},
-				metrics.KV{Key: "compute", Value: (stats.Compute - before.Compute).Round(time.Microsecond)},
-				metrics.KV{Key: "pool_used", Value: e.mm.PoolUsed()},
-				metrics.KV{Key: "pool_cap", Value: e.mm.PoolCap()})
+			readBefore = e.array.Stats().BytesRead
 		}
-		if done {
-			break
+		for _, r := range batch {
+			if !r.finished {
+				r.alg.BeforeIteration(r.iter)
+			}
+		}
+		switch err := e.sweepIteration(batch); {
+		case err == nil:
+			for _, r := range batch {
+				if r.finished {
+					continue
+				}
+				r.stats.Iterations = r.iter + 1
+				converged := r.alg.AfterIteration(r.iter)
+				if e.opts.Trace != nil {
+					e.traceIteration(r, e.array.Stats().BytesRead-readBefore)
+				}
+				r.iter++
+				if converged || r.iter >= e.opts.MaxIterations {
+					r.finished = true
+				}
+			}
+		case errors.Is(err, errBatchDone):
+			// Every run was canceled mid-sweep; the outcomes are on the
+			// runStates already.
+		default:
+			// Sweep-fatal: a storage or integrity failure poisons every
+			// run that was riding the stream.
+			var ie *IntegrityError
+			integrity := errors.As(err, &ie)
+			for _, r := range batch {
+				if r.finished {
+					continue
+				}
+				if integrity {
+					r.stats.IntegrityErrors++
+				}
+				r.finished, r.err = true, err
+			}
 		}
 	}
+	for _, r := range batch {
+		if r.finished {
+			e.seal(r)
+		}
+	}
+}
 
-	stats.Elapsed = time.Since(begin)
-	stats.MetadataBytes = a.MetadataBytes()
-	stats.Mem = e.mm.Stats()
-	busyEnd, chunksEnd := e.workerSnapshot()
-	stats.WorkerBusy = make([]time.Duration, len(busyEnd))
-	stats.WorkerChunks = make([]int64, len(chunksEnd))
+// traceIteration writes r's Options.Trace line for the iteration it just
+// finished; readBytes is what the device read during the (shared) sweep.
+func (e *Engine) traceIteration(r *runState, readBytes int64) {
+	st, was := r.stats, r.traced
+	r.traced = traceMark{st.TilesProcessed, st.TilesFromCache, st.TilesSkipped, st.IOWait, st.Compute}
+	metrics.WriteEvent(e.opts.Trace, "iteration",
+		metrics.KV{Key: "algo", Value: r.alg.Name()},
+		metrics.KV{Key: "iter", Value: r.iter},
+		metrics.KV{Key: "tiles", Value: st.TilesProcessed - was.tiles},
+		metrics.KV{Key: "cached", Value: st.TilesFromCache - was.cached},
+		metrics.KV{Key: "skipped", Value: st.TilesSkipped - was.skipped},
+		metrics.KV{Key: "read_bytes", Value: readBytes},
+		metrics.KV{Key: "iowait", Value: (st.IOWait - was.iowait).Round(time.Microsecond)},
+		metrics.KV{Key: "compute", Value: (st.Compute - was.compute).Round(time.Microsecond)},
+		metrics.KV{Key: "pool_used", Value: e.mm.PoolUsed()},
+		metrics.KV{Key: "pool_cap", Value: e.mm.PoolCap()})
+}
+
+// seal fills in the stats of a run that just finished, however it
+// finished: the figures the sweep could not keep as it went. Shared I/O
+// is the run's fractional attribution rounded to integers; device, fault,
+// unattributed-byte and worker figures are the run's window over the
+// engine's lifetime counters.
+func (e *Engine) seal(r *runState) {
+	st, end := r.stats, e.Counters()
+	st.Elapsed = time.Since(r.began)
+	st.MetadataBytes = r.alg.MetadataBytes()
+	st.Mem = e.mm.Stats()
+	st.Storage = e.array.Stats()
+	st.BytesRead = int64(math.Round(r.bytesFrac))
+	st.IORequests = int64(math.Round(r.reqFrac))
+	st.Totals = end
+	st.IO = end.IO.Sub(r.start.IO)
+	st.Faults = st.IO.Faults
+	st.UnattributedBytes = end.UnattributedBytes - r.start.UnattributedBytes
+	st.WorkerBusy = make([]time.Duration, len(end.WorkerBusy))
+	st.WorkerChunks = make([]int64, len(end.WorkerChunks))
 	var busySum, busyMax time.Duration
-	for i := range busyEnd {
-		d := time.Duration(busyEnd[i] - busyStart[i])
-		stats.WorkerBusy[i] = d
-		stats.WorkerChunks[i] = chunksEnd[i] - chunksStart[i]
+	for i, busy := range end.WorkerBusy {
+		d := busy - r.start.WorkerBusy[i]
+		st.WorkerBusy[i] = d
+		st.WorkerChunks[i] = end.WorkerChunks[i] - r.start.WorkerChunks[i]
 		busySum += d
-		if d > busyMax {
-			busyMax = d
-		}
+		busyMax = max(busyMax, d)
 	}
-	if busySum > 0 && len(busyEnd) > 0 {
-		mean := float64(busySum) / float64(len(busyEnd))
-		stats.Imbalance = float64(busyMax) / mean
+	if busySum > 0 {
+		mean := float64(busySum) / float64(len(end.WorkerBusy))
+		st.Imbalance = float64(busyMax) / mean
 	}
-	end := e.array.Stats()
-	stats.Storage = end
-	stats.BytesRead = end.BytesRead - startStorage.BytesRead
-	stats.IORequests = end.Requests - startStorage.Requests
-	stats.UnattributedBytes = e.unattributedBytes.Load() - startUnattr
-	if hasFaults {
-		stats.Faults = fd.FaultStats().Sub(startFaults)
-	}
-	if hasExt {
-		endExt, _ := storage.ExtStatsOf(e.array)
-		stats.IO = endExt.Sub(startExt)
-	}
-	return stats, nil
 }
 
 // sweepScratch is the per-iteration planning state, reused across
@@ -856,7 +912,7 @@ func (e *Engine) sweepIteration(batch []*runState) error {
 // the total is capped by raBudget so a whole-graph interest set cannot
 // flood the page cache.
 func (e *Engine) hintReadahead(batch []*runState) {
-	if e.ra == nil || e.raBudget <= 0 {
+	if e.raBudget <= 0 {
 		return
 	}
 	layout := e.g.Layout
@@ -864,7 +920,7 @@ func (e *Engine) hintReadahead(batch []*runState) {
 	var curOff, curN int64
 	flush := func() {
 		if curN > 0 {
-			e.ra.Readahead(curOff, curN)
+			e.array.Readahead(curOff, curN)
 			curN = 0
 		}
 	}
@@ -1233,7 +1289,7 @@ func (e *Engine) slide(batch []*runState, toFetch []int, masks []uint64) error {
 		}
 
 		// Verify the segment's tiles against their recorded checksums
-		// before any worker sees the data (no-op on v1 graphs).
+		// before any worker sees the data.
 		if err := e.verifySegment(batch, fl.plan, fl.seg); err != nil {
 			return fail(err)
 		}
@@ -1324,7 +1380,7 @@ func (e *Engine) readSyncRetry(batch []*runState, r run, s *mem.Segment) error {
 // doubled per attempt, capped at RetryBackoffMax.
 //
 // With a single live run the sleep is a timer select against that run's
-// ctx, so a canceled solo run never blocks a retry out — an unconditional
+// ctx, so a canceled lone run never blocks a retry out — an unconditional
 // time.Sleep here would stall the whole completion loop for up to
 // RetryBackoffMax per retry after the client is gone. With several live
 // runs one client's cancellation must not abort the shared retry, so the

@@ -38,11 +38,8 @@ func (e *IntegrityError) Unwrap() error { return e.Err }
 // flipped bit on the bus, a bad DMA) goes away on re-read, media rot
 // does not — and a second mismatch fails the sweep with *IntegrityError.
 // Verification and mismatch counts are attributed to the runs interested
-// in each tile. No-op on graphs without checksums (v1 format).
+// in each tile.
 func (e *Engine) verifySegment(batch []*runState, plan *segmentPlan, seg *mem.Segment) error {
-	if !e.g.Checksummed() {
-		return nil
-	}
 	statMasked := func(mask uint64, f func(*Stats)) {
 		for j, r := range batch {
 			if mask&(1<<uint(j)) != 0 && !r.finished {

@@ -142,34 +142,6 @@ func TestEngineRecoversFromTransientCorruption(t *testing.T) {
 	}
 }
 
-// v1 graphs carry no checksums: the engine must skip verification and
-// still run correctly.
-func TestEngineV1GraphSkipsVerification(t *testing.T) {
-	el := kron(t, 10, 8, 34)
-	g, err := tile.Convert(el, t.TempDir(), "g", tile.ConvertOptions{
-		TileBits: 6, GroupQ: 4, Symmetry: true, SNB: true, Degrees: true,
-		FormatVersion: tile.VersionV1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if g.Checksummed() {
-		t.Fatal("v1 graph reports checksums")
-	}
-	b := algo.NewBFS(0)
-	st := runAlg(t, g, smallOpts(), b)
-	want := graph.RefBFS(graph.NewCSR(el, false), 0)
-	for v, d := range b.Depths() {
-		if d != want[v] {
-			t.Fatalf("depth[%d] = %d, want %d", v, d, want[v])
-		}
-	}
-	if st.TilesVerified != 0 || st.ChecksumMismatches != 0 {
-		t.Fatalf("v1 run verified tiles: %+v", st)
-	}
-}
-
 // skipTile hides one tile from a kernel's selective fetch.
 type skipTile struct {
 	algo.Algorithm

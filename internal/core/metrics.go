@@ -15,11 +15,14 @@ var RunSecondsBuckets = []float64{
 }
 
 // PublishStats mirrors one run's statistics into registry r under the
-// given graph label. Per-run deltas (iterations, tiles, bytes read,
-// retries) accumulate across runs; the engine's cumulative storage and
-// memory-manager counters are republished as they stand, so a scrape of
-// a live server always sees the engine's lifetime totals. Safe to call
-// from concurrent runs on different graphs.
+// given graph label. What the sweep attributed to the run alone
+// (iterations, tiles, bytes read, retries) accumulates across runs. What
+// the engine counts over its lifetime — storage, memory manager,
+// injected faults, unattributed bytes, per-worker time — is set from the
+// totals the run was sealed with, because co-scheduled runs see
+// overlapping windows of it; Counter.Set never moves a series backwards,
+// so concurrent publishers holding totals of different ages converge on
+// the newest. Safe to call from concurrent runs.
 func PublishStats(r *metrics.Registry, graph string, st *Stats) {
 	if r == nil || st == nil {
 		return
@@ -59,37 +62,34 @@ func PublishStats(r *metrics.Registry, graph string, st *Stats) {
 		"Work items (tile chunks) dispatched to workers.", g).Add(st.Chunks)
 	r.Counter("gstore_engine_delta_tiles_total",
 		"Dispatched tiles merged with the mutable delta layer.", g).Add(st.DeltaTiles)
-	r.Counter("gstore_engine_unattributed_bytes_total",
-		"Fetched tile bytes whose interested runs all finished before dispatch.", g).
-		Add(st.UnattributedBytes)
-
-	// Per-worker accounting and the balance gauge: the chunked-dispatch
-	// win is max/mean worker busy time near 1.0 instead of the worker
-	// count on skewed segments.
-	for w, d := range st.WorkerBusy {
-		wl := metrics.L("worker", strconv.Itoa(w))
-		r.Counter("gstore_engine_worker_busy_microseconds_total",
-			"Microseconds each worker spent inside kernel code.", g, wl).
-			Add(d.Microseconds())
-		r.Counter("gstore_engine_worker_chunks_total",
-			"Work items processed by each worker.", g, wl).
-			Add(st.WorkerChunks[w])
-	}
 	if st.Imbalance > 0 {
+		// The chunked-dispatch win is max/mean worker busy time near 1.0
+		// instead of the worker count on skewed segments.
 		r.FloatGauge("gstore_engine_compute_imbalance",
 			"Max/mean worker busy time of the last run (1.0 = perfectly balanced).", g).
 			Set(st.Imbalance)
 	}
 
-	// Injected-fault counters (per-run deltas; zero without a FaultDevice).
-	r.Counter("gstore_engine_faults_injected_errors_total",
-		"Injected read errors observed.", g).Add(st.Faults.Errors)
-	r.Counter("gstore_engine_faults_injected_shorts_total",
-		"Injected short reads observed.", g).Add(st.Faults.Shorts)
-	r.Counter("gstore_engine_faults_injected_corruptions_total",
-		"Injected silent buffer corruptions observed.", g).Add(st.Faults.Corruptions)
-
 	// Engine-lifetime cumulative counters, republished after every run.
+	tot := &st.Totals
+	r.Counter("gstore_engine_unattributed_bytes_total",
+		"Fetched tile bytes whose interested runs all finished before dispatch.", g).
+		Set(tot.UnattributedBytes)
+	for w, d := range tot.WorkerBusy {
+		wl := metrics.L("worker", strconv.Itoa(w))
+		r.Counter("gstore_engine_worker_busy_microseconds_total",
+			"Microseconds each worker spent inside kernel code.", g, wl).
+			Set(d.Microseconds())
+		r.Counter("gstore_engine_worker_chunks_total",
+			"Work items processed by each worker.", g, wl).
+			Set(tot.WorkerChunks[w])
+	}
+	r.Counter("gstore_engine_faults_injected_errors_total",
+		"Injected read errors observed (zero without a FaultDevice).", g).Set(tot.IO.Faults.Errors)
+	r.Counter("gstore_engine_faults_injected_shorts_total",
+		"Injected short reads observed.", g).Set(tot.IO.Faults.Shorts)
+	r.Counter("gstore_engine_faults_injected_corruptions_total",
+		"Injected silent buffer corruptions observed.", g).Set(tot.IO.Faults.Corruptions)
 	r.Counter("gstore_storage_bytes_read_total",
 		"Cumulative bytes read by the graph's storage array.", g).
 		Set(st.Storage.BytesRead)

@@ -136,13 +136,15 @@ type Options struct {
 	// tiles file is served by a slower device.
 	HDD *HDDTier
 
-	// Trace, when non-nil, receives one diagnostic line per iteration
-	// (tiles processed / cached / skipped, bytes read, IO wait, compute).
+	// Trace, when non-nil, receives one diagnostic line per run per
+	// iteration (tiles processed / cached / skipped, bytes read, IO wait,
+	// compute), from Engine.Run and Scheduler.Run alike.
 	Trace io.Writer
 
 	// MaxConcurrentRuns caps how many algorithm runs a Scheduler
 	// co-schedules onto one shared SCR sweep (1..64; the per-tile
-	// interest set is a 64-bit mask). Solo Engine.Run ignores it.
+	// interest set is a 64-bit mask). Engine.Run admits nothing: it steps
+	// the same loop with its one run.
 	MaxConcurrentRuns int
 	// MaxQueuedRuns bounds the Scheduler's admission wait queue; a run
 	// arriving with the batch and the queue both full is rejected with
@@ -256,7 +258,8 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// Stats reports one engine run.
+// Stats reports one engine run. Engine.Run and Scheduler.Run fill it from
+// the same code, so every field means the same thing on both.
 type Stats struct {
 	Algorithm  string
 	Iterations int
@@ -284,22 +287,31 @@ type Stats struct {
 	// DeltaTiles counts dispatched tiles whose data was merged with the
 	// mutable delta layer (zero without a delta store or mutations).
 	DeltaTiles int64
+	// BytesRead and IORequests are the run's attributed share of the tile
+	// stream: a tile fetched for k interested runs charges each of them
+	// 1/k of its bytes, a segment's read batch 1/k of its requests, and
+	// the sums are rounded once at the end. A run alone on its sweep is
+	// charged every tile byte and every planned request it consumed.
+	// Neither counts a retry's or a checksum re-read's repeated I/O
+	// (Retries, IOFailures and ChecksumMismatches do); what the device
+	// served, repeats included, is in Storage and IO.
 	BytesRead  int64
 	IORequests int64
 	// UnattributedBytes counts fetched tile bytes the engine could charge
-	// to no run during this run's sweeps: every run interested in the tile
-	// finished between fetch planning and dispatch. Normally zero for solo
-	// runs; nonzero values mean BytesRead exceeds the sum of the per-run
-	// fractional attributions by exactly this amount.
+	// to no run during this run's window: every run interested in the tile
+	// finished between fetch planning and dispatch. The device read them,
+	// so they appear in Storage but in no run's BytesRead.
 	UnattributedBytes int64
 
 	// Chunks counts the work items dispatched to workers; it exceeds
 	// TilesProcessed whenever tiles split at the ChunkBytes boundary.
 	Chunks int64
 	// WorkerBusy is, per worker ID, the time spent inside kernel code
-	// during this run.
+	// during this run's window — on a shared sweep, for every rider's
+	// kernels, as the windows of co-scheduled runs overlap.
 	WorkerBusy []time.Duration
-	// WorkerChunks is, per worker ID, the work items processed this run.
+	// WorkerChunks is, per worker ID, the work items processed in the
+	// same window.
 	WorkerChunks []int64
 	// Imbalance is max/mean over WorkerBusy: 1.0 is a perfectly balanced
 	// run, Threads is one worker doing everything. Zero when the run did
@@ -314,7 +326,7 @@ type Stats struct {
 	Retries int64
 
 	// TilesVerified counts tiles whose CRC32C was checked on the hot
-	// read path (zero on v1 graphs, which carry no checksums).
+	// read path: every fetched tile.
 	TilesVerified int64
 	// ChecksumMismatches counts verification failures observed; each is
 	// retried with one re-read, so ChecksumMismatches > 0 with a nil Run
@@ -323,15 +335,16 @@ type Stats struct {
 	// IntegrityErrors counts runs failed by persistent corruption (a
 	// mismatch that survived the re-read); 0 or 1 per run.
 	IntegrityErrors int64
-	// Faults holds the injected-fault counters for this run when
-	// Options.Fault is set (zero otherwise).
+	// Faults holds the injected-fault counters for this run's window when
+	// Options.Fault is set (zero otherwise); it is IO.Faults.
 	Faults storage.FaultStats
 
 	// QueueWait is how long the run waited for Scheduler admission before
-	// its first iteration (zero for solo runs and immediate admissions).
+	// its first iteration (zero for Engine.Run and immediate admissions).
 	QueueWait time.Duration
 	// SharedRuns is the peak number of runs co-scheduled on this run's
-	// sweep batch, itself included (1 = it effectively ran solo).
+	// sweep batch, itself included (1 = it ran alone; 0 = it never reached
+	// a sweep).
 	SharedRuns int
 	// BatchedRoots is, for personalized BFS submissions, how many query
 	// roots shared the one run slot that answered this query (1 = no
@@ -341,10 +354,16 @@ type Stats struct {
 	MetadataBytes int64
 	Mem           mem.Stats
 	Storage       storage.Stats
-	// IO holds the storage backend's extended counters for this run
-	// (queue depth, coalescing, read-latency histogram); Backend is
-	// empty when the device tracks none.
+	// IO holds the storage backend's extended counters for this run's
+	// window (queue depth, coalescing, read-latency histogram).
 	IO storage.ExtStats
+	// Totals is the engine's lifetime counters as they stood when the run
+	// was sealed (like Storage and Mem). IO, Faults, UnattributedBytes,
+	// WorkerBusy and WorkerChunks above are this run's window over them,
+	// and the windows of co-scheduled runs overlap: a publisher that wants
+	// each unit of work counted exactly once sets its series from Totals,
+	// as PublishStats does.
+	Totals Counters
 }
 
 // MTEPS returns millions of traversed edges per second given an edge

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
-	"github.com/gwu-systems/gstore/internal/storage"
 )
 
 // ErrQueueFull is returned by Scheduler.Run when the batch and the
@@ -20,11 +18,15 @@ var ErrQueueFull = errors.New("core: run queue full")
 var ErrSchedulerClosed = errors.New("core: scheduler closed")
 
 // Scheduler admits up to Options.MaxConcurrentRuns algorithm runs onto
-// one engine and drives them through a *shared* slide-cache-rewind
-// sweep: each iteration plans a single tile stream over the union of the
+// one engine and steps them through a *shared* slide-cache-rewind sweep:
+// each Engine.step plans a single tile stream over the union of the
 // co-scheduled algorithms' NeedTileThisIter sets, dispatches every
 // fetched tile once per interested run, and retires segments under the
-// union of their NeedTileNextIter predicates. In a semi-external store
+// union of their NeedTileNextIter predicates. The run loop and the stats
+// are the engine's; the Scheduler owns admission, the bounded queue, the
+// join barrier between steps and the hand-off of a finished run's slot,
+// and nothing else — a single admitted run does exactly what Engine.Run
+// does, on the scheduler's goroutine. In a semi-external store
 // the tile stream is the scarce resource; sharing one pass across N
 // queries is what lets aggregate throughput scale with concurrency
 // instead of degrading linearly (FlashGraph's page cache and
@@ -37,8 +39,8 @@ var ErrSchedulerClosed = errors.New("core: scheduler closed")
 // FIFO queue (context-aware); beyond MaxQueuedRuns they are rejected
 // with ErrQueueFull.
 //
-// A Scheduler owns its engine's sweep: solo Engine.Run must not be
-// called concurrently with Scheduler.Run on the same engine.
+// A Scheduler owns its engine's sweep: Engine.Run must not be called
+// concurrently with Scheduler.Run on the same engine.
 type Scheduler struct {
 	e        *Engine
 	maxRuns  int
@@ -120,6 +122,7 @@ func (s *Scheduler) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.done = make(chan struct{})
 
 	s.mu.Lock()
 	switch {
@@ -162,20 +165,12 @@ func (s *Scheduler) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 	}
 
 	<-r.done
-	if r.err != nil {
-		var ie *IntegrityError
-		if errors.As(r.err, &ie) {
-			return r.stats, r.err
-		}
-		return nil, r.err
-	}
-	return r.stats, nil
+	return r.outcome()
 }
 
 // admitLocked moves a prepared run into the pending set and makes sure a
 // sweep loop is driving. Callers hold s.mu.
 func (s *Scheduler) admitLocked(r *runState) {
-	r.startExt, r.hasExt = storage.ExtStatsOf(s.e.array)
 	s.active++
 	s.pending = append(s.pending, r)
 	if !s.sweeping {
@@ -210,31 +205,33 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 }
 
-// sweepLoop drives shared sweeps until no admitted runs remain. One loop
+// sweepLoop steps the admitted runs until none remain. One loop
 // goroutine exists at a time; it exits when the batch drains and is
 // relaunched by the next admission.
 func (s *Scheduler) sweepLoop() {
 	e := s.e
-	// A fresh batch lifecycle starts with an empty pool, exactly like a
-	// solo Run; within the loop's lifetime the warm pool carries over
+	// A fresh batch lifecycle starts with an empty pool, exactly like
+	// Engine.Run; within the loop's lifetime the warm pool carries over
 	// between iterations (and into newly joining runs, which is the
 	// point of sharing).
 	e.mm.Clear()
 	var batch []*runState
 
 	for {
-		// Join barrier: drop finished runs, absorb everything admitted
-		// since the last iteration. New runs enter only here, so each
-		// sees complete iterations and results match solo execution.
+		// Join barrier: release the runs the last step finished (each
+		// frees a slot for the queue head), then absorb everything
+		// admitted since. New runs enter only here, so each sees complete
+		// iterations and results match solo execution.
 		s.mu.Lock()
 		live := batch[:0]
 		for _, r := range batch {
-			if !r.finished {
+			if r.finished {
+				s.releaseLocked(r)
+			} else {
 				live = append(live, r)
 			}
 		}
-		batch = live
-		batch = append(batch, s.pending...)
+		batch = append(live, s.pending...)
 		s.pending = s.pending[:0]
 		if len(batch) == 0 {
 			s.sweeping = false
@@ -250,98 +247,21 @@ func (s *Scheduler) sweepLoop() {
 		}
 		s.mu.Unlock()
 
-		// Batch occupancy: every rider records the peak company it kept.
-		for _, r := range batch {
-			if n := len(batch); n > r.stats.SharedRuns {
-				r.stats.SharedRuns = n
-			}
-		}
-
-		if pollBatch(batch) == 0 {
-			s.completeFinished(batch)
-			continue
-		}
-
-		for _, r := range batch {
-			if !r.finished {
-				r.alg.BeforeIteration(r.iter)
-			}
-		}
-
-		err := e.sweepIteration(batch)
-		switch {
-		case err == nil:
-		case errors.Is(err, errBatchDone):
-			// Every run finished (canceled) mid-sweep; outcomes are on
-			// the runStates already.
-			s.completeFinished(batch)
-			continue
-		default:
-			// Sweep-fatal: storage or integrity failure poisons every
-			// run that was riding the stream.
-			var ie *IntegrityError
-			integrity := errors.As(err, &ie)
-			for _, r := range batch {
-				if r.finished {
-					continue
-				}
-				if integrity {
-					r.stats.IntegrityErrors++
-				}
-				r.finished = true
-				r.err = err
-			}
-			s.completeFinished(batch)
-			continue
-		}
-
-		for _, r := range batch {
-			if r.finished {
-				continue
-			}
-			r.stats.Iterations = r.iter + 1
-			converged := r.alg.AfterIteration(r.iter)
-			r.iter++
-			if converged || r.iter >= e.opts.MaxIterations {
-				r.finished = true
-			}
-		}
-		s.completeFinished(batch)
+		e.step(batch)
 	}
 }
 
-// completeFinished seals every finished-but-uncompleted run of the
-// batch: final stats, fractional I/O attribution rounded to integers,
-// the waiter released, and the freed slot handed to the queue head.
-func (s *Scheduler) completeFinished(batch []*runState) {
-	for _, r := range batch {
-		if !r.finished || r.completed {
-			continue
-		}
-		r.completed = true
-		st := r.stats
-		st.Elapsed = time.Since(r.began)
-		st.MetadataBytes = r.alg.MetadataBytes()
-		st.Mem = s.e.mm.Stats()
-		st.Storage = s.e.array.Stats()
-		st.BytesRead = int64(math.Round(r.bytesFrac))
-		st.IORequests = int64(math.Round(r.reqFrac))
-		if r.hasExt {
-			endExt, _ := storage.ExtStatsOf(s.e.array)
-			st.IO = endExt.Sub(r.startExt)
-		}
-
-		s.mu.Lock()
-		s.active--
-		for s.active < s.maxRuns && len(s.queue) > 0 {
-			qr := s.queue[0]
-			s.queue = s.queue[1:]
-			qr.admitted = true
-			qr.r.stats.QueueWait = time.Since(qr.enqueued)
-			s.admitLocked(qr.r)
-			close(qr.admit)
-		}
-		s.mu.Unlock()
-		close(r.done)
+// releaseLocked hands a finished (and sealed) run's slot to the queue
+// head and wakes the goroutine waiting for the run. Callers hold s.mu.
+func (s *Scheduler) releaseLocked(r *runState) {
+	s.active--
+	for s.active < s.maxRuns && len(s.queue) > 0 {
+		qr := s.queue[0]
+		s.queue = s.queue[1:]
+		qr.admitted = true
+		qr.r.stats.QueueWait = time.Since(qr.enqueued)
+		s.admitLocked(qr.r)
+		close(qr.admit)
 	}
+	close(r.done)
 }

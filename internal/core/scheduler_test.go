@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
+	"github.com/gwu-systems/gstore/internal/metrics"
+	"github.com/gwu-systems/gstore/internal/storage"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
@@ -64,38 +68,238 @@ func waitActive(t *testing.T, s *Scheduler, n int) {
 	}
 }
 
-// A scheduler driving a single run must reproduce Engine.Run exactly:
-// same results, same iteration count, same I/O accounting.
+// counts strips st of everything that depends on timing — durations,
+// which worker took which chunk, latency buckets, instantaneous gauges —
+// and leaves every figure that two executions of one run on equal engines
+// must agree on, so a DeepEqual of two of them compares every count field
+// Stats has, including ones added later.
+func counts(st *Stats) Stats {
+	c := *st
+	c.Elapsed, c.IOWait, c.Compute, c.Imbalance = 0, 0, 0, 0
+	c.Storage.BusyTime = 0
+	c.WorkerBusy, c.Totals.WorkerBusy = nil, nil
+	c.WorkerChunks = []int64{sum(st.WorkerChunks)}
+	c.Totals.WorkerChunks = []int64{sum(st.Totals.WorkerChunks)}
+	for _, io := range []*storage.ExtStats{&c.IO, &c.Totals.IO} {
+		io.QueueDepth, io.Inflight = 0, 0
+		io.Latency = storage.LatencyStats{Count: io.Latency.Count}
+	}
+	return c
+}
+
+func sum(xs []int64) (n int64) {
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// A scheduler driving a single run must reproduce Engine.Run exactly —
+// same results, same counts in every field of Stats — on either backend,
+// with and without injected faults: the two entry points are one loop.
+// (The fault counts compare exactly because the generator is consumed in
+// submission order and every failed request is resubmitted once, so the
+// number of failures does not depend on which request drew which value.)
 func TestSchedulerSoloMatchesEngineRun(t *testing.T) {
 	el := kron(t, 10, 8, 5)
 	g := convert(t, el, 6, 4)
-
-	ref := algo.NewBFS(0)
-	refSt := runAlg(t, g, smallOpts(), ref)
-
-	_, s := newSched(t, g, smallOpts())
-	a := algo.NewBFS(0)
-	st, err := s.Run(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantD, gotD := ref.Depths(), a.Depths()
-	for v := range wantD {
-		if wantD[v] != gotD[v] {
-			t.Fatalf("depth[%d] = %d via scheduler, %d solo", v, gotD[v], wantD[v])
+	for _, alg := range []string{"bfs", "pagerank"} {
+		for _, backend := range []string{"sim", "file"} {
+			for _, faulty := range []bool{false, true} {
+				name := alg + "/" + backend
+				opts := smallOpts()
+				if faulty {
+					name += "/faults"
+					opts = faultOpts(storage.FaultConfig{Seed: 11, ErrorRate: 0.1, ShortRate: 0.1}, 8)
+				}
+				opts.Backend = backend
+				opts.MemoryBytes = g.DataBytes() / 2 // every iteration reads
+				opts.SegmentSize = opts.MemoryBytes / 8
+				t.Run(name, func(t *testing.T) {
+					mk := func() algo.Algorithm {
+						if alg == "bfs" {
+							return algo.NewBFS(0)
+						}
+						return algo.NewPageRank(5)
+					}
+					ref, a := mk(), mk()
+					refSt := runAlg(t, g, opts, ref)
+					_, s := newSched(t, g, opts)
+					st, err := s.Run(context.Background(), a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if alg == "bfs" {
+						requireDepths(t, name, a.(*algo.BFS).Depths(), ref.(*algo.BFS).Depths())
+					} else {
+						requireRanks(t, name, a.(*algo.PageRank).Ranks(), ref.(*algo.PageRank).Ranks())
+					}
+					if got, want := counts(st), counts(refSt); !reflect.DeepEqual(got, want) {
+						t.Fatalf("stats differ\nvia scheduler: %+v\nvia Engine.Run: %+v", got, want)
+					}
+					for what, st := range map[string]*Stats{"Scheduler.Run": st, "Engine.Run": refSt} {
+						if st.BytesRead == 0 || st.IORequests == 0 || st.TilesFetched == 0 || st.TilesVerified != st.TilesFetched {
+							t.Fatalf("%s: read nothing or verified something else: %+v", what, st)
+						}
+						if st.SharedRuns != 1 || st.QueueWait != 0 {
+							t.Fatalf("%s: SharedRuns = %d, QueueWait = %v for a run alone on its sweep", what, st.SharedRuns, st.QueueWait)
+						}
+						if len(st.WorkerBusy) != opts.Threads || sum(st.WorkerChunks) != st.Chunks || st.Imbalance < 1 {
+							t.Fatalf("%s: worker figures not filled: busy %v, chunks %v of %d, imbalance %v",
+								what, st.WorkerBusy, st.WorkerChunks, st.Chunks, st.Imbalance)
+						}
+						if st.Faults != st.IO.Faults || st.Faults != st.Totals.IO.Faults {
+							t.Fatalf("%s: a fresh engine's first run must see the device's fault totals: %+v / %+v / %+v",
+								what, st.Faults, st.IO.Faults, st.Totals.IO.Faults)
+						}
+						if failed := st.Faults.Errors + st.Faults.Shorts; failed != st.IOFailures || st.Retries != st.IOFailures || (failed > 0) != faulty {
+							t.Fatalf("%s: %d injected failures, %d observed, %d retried (faulty=%v)",
+								what, failed, st.IOFailures, st.Retries, faulty)
+						}
+					}
+				})
+			}
 		}
 	}
-	if st.Iterations != refSt.Iterations {
-		t.Fatalf("Iterations = %d via scheduler, %d solo", st.Iterations, refSt.Iterations)
+}
+
+// published reads one counter series back from a registry.
+func published(reg *metrics.Registry, name string, labels ...metrics.Label) int64 {
+	return reg.Counter(name, "", append([]metrics.Label{metrics.L("graph", "g")}, labels...)...).Value()
+}
+
+// requirePublishedTotals asserts that what PublishStats put on the
+// lifetime series is what the engine has counted since it was made.
+func requirePublishedTotals(t *testing.T, reg *metrics.Registry, e *Engine) Counters {
+	t.Helper()
+	tot := e.Counters()
+	for name, want := range map[string]int64{
+		"gstore_engine_faults_injected_errors_total":      tot.IO.Faults.Errors,
+		"gstore_engine_faults_injected_shorts_total":      tot.IO.Faults.Shorts,
+		"gstore_engine_faults_injected_corruptions_total": tot.IO.Faults.Corruptions,
+		"gstore_engine_unattributed_bytes_total":          tot.UnattributedBytes,
+	} {
+		if got := published(reg, name); got != want {
+			t.Fatalf("%s = %d published, engine total %d", name, got, want)
+		}
 	}
-	if st.BytesRead != refSt.BytesRead {
-		t.Fatalf("BytesRead = %d via scheduler, %d solo", st.BytesRead, refSt.BytesRead)
+	for w := range tot.WorkerBusy {
+		wl := metrics.L("worker", strconv.Itoa(w))
+		if got, want := published(reg, "gstore_engine_worker_busy_microseconds_total", wl), tot.WorkerBusy[w].Microseconds(); got != want {
+			t.Fatalf("worker %d busy = %dµs published, engine total %dµs", w, got, want)
+		}
+		if got, want := published(reg, "gstore_engine_worker_chunks_total", wl), tot.WorkerChunks[w]; got != want {
+			t.Fatalf("worker %d chunks = %d published, engine total %d", w, got, want)
+		}
 	}
-	if st.SharedRuns != 1 {
-		t.Fatalf("SharedRuns = %d for a solo scheduler run, want 1", st.SharedRuns)
+	return tot
+}
+
+// Co-scheduled runs see overlapping windows of the engine's lifetime
+// counters, so adding their per-run figures up would count faults, worker
+// time and unattributed bytes several times over (and before the run loops
+// were merged the scheduler path reported none of them at all). Whatever
+// order eight concurrent riders publish in, the lifetime series must end
+// up at exactly the engine's totals — and again after a rider canceled
+// mid-sweep leaves bytes no run can be charged for.
+func TestConcurrentMixPublishesEngineTotals(t *testing.T) {
+	el := kron(t, 11, 8, 3)
+	g := convert(t, el, 6, 4)
+	opts := faultOpts(storage.FaultConfig{Seed: 7, ErrorRate: 0.05, ShortRate: 0.05}, 8)
+	opts.MaxConcurrentRuns = 8
+	opts.MemoryBytes = g.DataBytes() / 2
+	opts.SegmentSize = opts.MemoryBytes / 16
+	e, s := newSched(t, g, opts)
+	reg := metrics.NewRegistry()
+
+	// ride co-schedules riders behind a gated heavy run, so that all of
+	// them share sweeps, and publishes every stats that comes back from
+	// the goroutine that ran it.
+	ride := func(heavy *gated, riders ...func() (algo.Algorithm, context.Context)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		run := func(ctx context.Context, a algo.Algorithm) {
+			defer wg.Done()
+			st, err := s.Run(ctx, a)
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: %v", a.Name(), err)
+			}
+			PublishStats(reg, "g", st)
+		}
+		wg.Add(1)
+		go run(context.Background(), heavy)
+		<-heavy.entered
+		for _, mk := range riders {
+			a, ctx := mk()
+			wg.Add(1)
+			go run(ctx, a)
+		}
+		waitActive(t, s, 1+len(riders))
+		close(heavy.release)
+		wg.Wait()
 	}
-	if st.QueueWait != 0 {
-		t.Fatalf("QueueWait = %v for an immediately admitted run, want 0", st.QueueWait)
+	plain := func(a algo.Algorithm) func() (algo.Algorithm, context.Context) {
+		return func() (algo.Algorithm, context.Context) { return a, context.Background() }
+	}
+
+	ride(newGated(algo.NewPageRank(8)),
+		plain(algo.NewBFS(0)), plain(algo.NewBFS(1)), plain(algo.NewBFS(2)),
+		plain(algo.NewWCC()), plain(algo.NewWCC()),
+		plain(algo.NewPageRank(4)), plain(algo.NewPageRank(6)))
+	tot := requirePublishedTotals(t, reg, e)
+	if tot.IO.Faults.Errors == 0 || tot.IO.Faults.Shorts == 0 || sum(tot.WorkerChunks) == 0 {
+		t.Fatalf("the mix injected no faults or did no work: %+v", tot)
+	}
+
+	// A PageRank rider that cancels itself from its first edge batch is
+	// dropped at the sweep's next poll. The run beside it skips the last
+	// stored tile, which therefore arrives, many segments later, with
+	// nobody left to charge.
+	last := g.Layout.NumTiles() - 1
+	for g.TupleCount(last) == 0 {
+		last--
+	}
+	c := g.Layout.CoordAt(last)
+	_, lastBytes := g.TileByteRange(last)
+	ride(newGated(&skipTile{Algorithm: algo.NewPageRank(4), row: c.Row, col: c.Col}),
+		func() (algo.Algorithm, context.Context) {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			return &slowKernel{Algorithm: algo.NewPageRank(4), hook: func(int64) { cancel() }}, ctx
+		})
+	if tot = requirePublishedTotals(t, reg, e); tot.UnattributedBytes != lastBytes {
+		t.Fatalf("the canceled rider left %d unattributed bytes, want the skipped tile's %d", tot.UnattributedBytes, lastBytes)
+	}
+}
+
+// Persistent corruption fails a run with *IntegrityError and the partial
+// stats, sealed like any other run's, whichever entry point it came in
+// by: there is one place that fans a sweep failure out and one that seals.
+func TestIntegrityErrorSealsPartialStatsOnBothEntryPoints(t *testing.T) {
+	el := kron(t, 10, 8, 6)
+	g := convert(t, el, 6, 4)
+	opts := faultOpts(storage.FaultConfig{Seed: 6, CorruptRate: 1, CorruptBytes: 2}, 1)
+	results := map[string]*Stats{}
+	for _, entry := range []string{"Engine.Run", "Scheduler.Run"} {
+		e, s := newSched(t, g, opts)
+		run := e.Run
+		if entry == "Scheduler.Run" {
+			run = s.Run
+		}
+		st, err := run(context.Background(), algo.NewPageRank(3))
+		var ie *IntegrityError
+		if !errors.As(err, &ie) || st == nil {
+			t.Fatalf("%s = (%+v, %v), want partial stats and *IntegrityError", entry, st, err)
+		}
+		if st.IntegrityErrors != 1 || st.ChecksumMismatches != 1 || st.TilesVerified == 0 ||
+			st.Faults.Corruptions < 2 || st.Elapsed <= 0 || len(st.WorkerBusy) != opts.Threads || st.SharedRuns != 1 {
+			t.Fatalf("%s: partial stats not sealed: %+v", entry, st)
+		}
+		requireIdle(t, e)
+		results[entry] = st
+	}
+	if got, want := counts(results["Scheduler.Run"]), counts(results["Engine.Run"]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("partial stats differ\nvia scheduler: %+v\nvia Engine.Run: %+v", got, want)
 	}
 }
 

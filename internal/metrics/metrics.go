@@ -51,8 +51,17 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Set overwrites the counter with an externally tracked cumulative value.
-func (c *Counter) Set(v int64) { c.v.Store(v) }
+// Set raises the counter to an externally tracked cumulative value. A
+// value below the current one is ignored: a cumulative total only grows,
+// so it can only be an older snapshot that lost a race to a newer one.
+func (c *Counter) Set(v int64) {
+	for {
+		old := c.v.Load()
+		if v <= old || c.v.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }

@@ -162,6 +162,51 @@ func TestEngineFaultIs500(t *testing.T) {
 	}
 }
 
+// TestDaemonExportsFaultAndWorkerSeries serves one query on a graph whose
+// device injects recoverable read errors and requires the series only the
+// engine's run loop can fill — injected faults, per-worker busy time, the
+// balance gauge — on /metrics. Every served query goes through the
+// scheduler, which before the run loops were merged reported none of them.
+func TestDaemonExportsFaultAndWorkerSeries(t *testing.T) {
+	s := New()
+	t.Cleanup(s.Close)
+	opts := core.DefaultOptions()
+	opts.Cache = core.CacheNone // stream the whole (16 KiB) graph every iteration
+	opts.MemoryBytes = 8 << 10
+	opts.Threads = 2
+	opts.MaxRetries = 8
+	opts.Fault = &storage.FaultConfig{Seed: 7, ErrorRate: 0.2}
+	addGraph(t, s, "flaky", opts)
+	ts := newTestHTTP(t, s)
+
+	resp, out := post(t, ts+"/graphs/flaky/pagerank", map[string]interface{}{"iterations": 10})
+	if resp.StatusCode != 200 {
+		t.Fatalf("pagerank over a flaky device: status %d (%v), want 200 via retries", resp.StatusCode, out)
+	}
+	body := fetchMetrics(t, ts)
+	number := func(series string) (v float64) {
+		t.Helper()
+		if _, err := fmt.Sscanf(findLine(body, series+" "), series+" %g", &v); err != nil {
+			t.Fatalf("/metrics has no %s: %v\n%s", series, err, body)
+		}
+		return v
+	}
+	if n, retried := number(`gstore_engine_faults_injected_errors_total{graph="flaky"}`),
+		number(`gstore_engine_io_retries_total{graph="flaky"}`); n < 1 || n != retried {
+		t.Fatalf("%v injected errors and %v retries after streaming through a device that fails one read in five", n, retried)
+	}
+	var busy float64
+	for _, w := range []string{"0", "1"} {
+		busy += number(`gstore_engine_worker_busy_microseconds_total{graph="flaky",worker="` + w + `"}`)
+	}
+	if busy <= 0 {
+		t.Fatal("no worker reported any busy time")
+	}
+	if im := number(`gstore_engine_compute_imbalance{graph="flaky"}`); im < 1 {
+		t.Fatalf("compute_imbalance = %v, want ≥ 1", im)
+	}
+}
+
 // TestGraphNameValidation rejects unservable names at AddGraph.
 func TestGraphNameValidation(t *testing.T) {
 	s := New()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,8 +15,9 @@ import (
 // The conformance suite pins the Device contract every backend must
 // satisfy identically: completion-per-request regardless of submit
 // order, Array's EOF semantics for short reads, zero-length requests,
-// ReadSync correctness, stats monotonicity, and deadlock-free Close
-// with requests in flight.
+// ReadSync correctness, stats monotonicity, extended and injected-fault
+// counters that forward through every wrapper, readahead hints that
+// never block or fail, and deadlock-free Close with requests in flight.
 
 const confSize = 1 << 20
 
@@ -86,22 +88,34 @@ func confBackends(t *testing.T, data []byte) map[string]func(t *testing.T) Devic
 			}
 			return f
 		},
-		"tiered": func(t *testing.T) Device {
-			fast, err := NewFileDevice(confFile(t, data), FileOptions{Workers: 2})
+		"tiered": func(t *testing.T) Device { return confTiered(t, data) },
+		"fault-wrapped-tiered": func(t *testing.T) Device {
+			f, err := NewFaultDevice(confTiered(t, data), FaultConfig{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := NewArray(bytes.NewReader(data), Options{NumDisks: 2, StripeSize: 4096})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ti, err := NewTiered(fast, slow, confSize/2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ti
+			return f
 		},
 	}
+}
+
+// confTiered is a file device below the midpoint and a simulated array
+// above it.
+func confTiered(t *testing.T, data []byte) *Tiered {
+	t.Helper()
+	fast, err := NewFileDevice(confFile(t, data), FileOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := NewArray(bytes.NewReader(data), Options{NumDisks: 2, StripeSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti, err := NewTiered(fast, slow, confSize/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ti
 }
 
 func TestDeviceConformance(t *testing.T) {
@@ -132,6 +146,16 @@ func TestDeviceConformance(t *testing.T) {
 				d := mk(t)
 				defer d.Close()
 				confStatsMonotone(t, d, data)
+			})
+			t.Run("ExtStats", func(t *testing.T) {
+				d := mk(t)
+				defer d.Close()
+				confExtStats(t, d, strings.HasPrefix(name, "fault-"))
+			})
+			t.Run("Readahead", func(t *testing.T) {
+				d := mk(t)
+				defer d.Close()
+				confReadahead(t, d, data)
 			})
 			t.Run("CloseDuringInflight", func(t *testing.T) {
 				confCloseInflight(t, mk(t))
@@ -289,14 +313,82 @@ func confStatsMonotone(t *testing.T, d Device, data []byte) {
 		}
 		prev = cur
 	}
-	if es, ok := ExtStatsOf(d); ok {
-		if es.QueueDepth != 0 || es.Inflight != 0 {
-			t.Fatalf("idle device reports queue depth %d inflight %d", es.QueueDepth, es.Inflight)
-		}
-		if es.Latency.Count <= 0 {
-			t.Fatal("extended stats recorded no read latencies")
-		}
+}
+
+// confExtStats checks the extended counters every device answers: a
+// named backend, an idle queue, one latency observation per physical
+// read, window deltas through Sub, and injected-fault counters that are
+// zero without a FaultDevice in the stack and count every request that
+// passed through one.
+func confExtStats(t *testing.T, d Device, faulty bool) {
+	t.Helper()
+	start := d.ExtStats()
+	if start.Backend == "" {
+		t.Fatal("ExtStats names no backend")
 	}
+	const n = 8
+	var reqs []*Request
+	for i := 0; i < n; i++ {
+		// Offsets on both sides of the tiered boundary.
+		reqs = append(reqs, &Request{Offset: int64(i) * (confSize / n), Buf: make([]byte, 2048), Tag: int64(i)})
+	}
+	if err := d.Submit(reqs); err != nil {
+		t.Fatal(err)
+	}
+	d.Wait(n, nil)
+	if err := d.ReadSync(0, make([]byte, 512)); err != nil {
+		t.Fatal(err)
+	}
+	es := d.ExtStats()
+	if es.QueueDepth != 0 || es.Inflight != 0 {
+		t.Fatalf("idle device reports queue depth %d inflight %d", es.QueueDepth, es.Inflight)
+	}
+	delta := es.Sub(start)
+	if delta.Spans <= 0 || delta.Latency.Count != delta.Spans {
+		t.Fatalf("window saw %d spans and %d latency observations, want equal and positive",
+			delta.Spans, delta.Latency.Count)
+	}
+	want := FaultStats{}
+	if faulty {
+		want.Requests = n + 1
+	}
+	if delta.Faults != want {
+		t.Fatalf("window fault counters = %+v, want %+v", delta.Faults, want)
+	}
+}
+
+// confReadahead checks that hints are advisory on every device: any
+// range — inside the data, across a tier boundary, past the end, empty
+// or negative — returns at once without an error to report, reads still
+// see the right bytes afterwards, and a closed device ignores hints.
+func confReadahead(t *testing.T, d Device, data []byte) {
+	t.Helper()
+	hinted := make(chan struct{})
+	go func() {
+		defer close(hinted)
+		for i := 0; i < 200; i++ { // more than any hint queue holds
+			d.Readahead(0, 64<<10)
+			d.Readahead(confSize/2-4096, 8192)
+			d.Readahead(confSize-100, 1<<20)
+			d.Readahead(2*confSize, 4096)
+			d.Readahead(4096, 0)
+			d.Readahead(4096, -1)
+		}
+	}()
+	select {
+	case <-hinted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Readahead blocked the caller")
+	}
+	buf := make([]byte, 8192)
+	if err := d.ReadSync(confSize/2-4096, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, data[confSize/2-4096:confSize/2+4096]) {
+		t.Fatal("read after readahead returned wrong bytes")
+	}
+	d.Close()
+	d.Readahead(0, 4096)
 }
 
 // confCloseInflight submits a batch and immediately closes: Close must

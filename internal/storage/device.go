@@ -6,10 +6,13 @@ import (
 	"time"
 )
 
-// Device is the asynchronous block-device interface the engine consumes.
-// Array implements it over the simulated SSD model; FileDevice implements
-// it with real positional reads against the tiles file; Tiered composes
-// two of them; FaultDevice and the throttle wrap any of them.
+// Device is the asynchronous block-device contract the engine consumes,
+// and the whole of it: every device answers every method, so wrappers
+// forward to their inner device and the engine asks its device without
+// first finding out what kind it is. Array implements it over the
+// simulated SSD model; FileDevice implements it with real positional
+// reads against the tiles file; Tiered composes two devices; FaultDevice
+// wraps any of them.
 type Device interface {
 	// Submit enqueues a batch of read requests.
 	Submit(reqs []*Request) error
@@ -18,43 +21,25 @@ type Device interface {
 	Wait(min int, out []Completion) []Completion
 	// ReadSync performs one synchronous read.
 	ReadSync(offset int64, buf []byte) error
+	// Readahead advises the device that the byte range [offset, offset+n)
+	// is likely to be read soon (the engine derives these hints from the
+	// union of NeedTileNextIter across the batch's live runs). Hints are
+	// advisory: a device may drop them (the simulator drops them all),
+	// and must never block the caller for the duration of the prefetch
+	// or report an error for one.
+	Readahead(offset, n int64)
 	// Stats snapshots the device counters.
 	Stats() Stats
+	// ExtStats snapshots the extended counters: queue depth, in-flight
+	// reads, request coalescing, the read-latency histogram, and the
+	// injected-fault counters. Wrappers forward or merge their inner
+	// devices' readings.
+	ExtStats() ExtStats
 	// Close releases the device.
 	Close()
 }
 
 var _ Device = (*Array)(nil)
-
-// Readaheader is the optional hint interface a Device may implement:
-// Readahead advises the device that the byte range [offset, offset+n)
-// is likely to be read soon (the engine derives these hints from the
-// union of NeedTileNextIter across the batch's live runs). Hints are
-// advisory — a device may drop them — and must never block the caller
-// for the duration of the prefetch itself.
-type Readaheader interface {
-	Readahead(offset, n int64)
-}
-
-// ExtStatser is the optional extended-statistics interface: backends
-// that track queue depth, in-flight reads, request coalescing, and a
-// read-latency histogram expose them here, and wrappers (FaultDevice,
-// Tiered) forward or merge their inner devices' readings.
-type ExtStatser interface {
-	ExtStats() ExtStats
-}
-
-// ExtStatsOf returns d's extended statistics when the device (or, for
-// wrappers, its inner device) maintains them.
-func ExtStatsOf(d Device) (ExtStats, bool) {
-	if es, ok := d.(ExtStatser); ok {
-		s := es.ExtStats()
-		if s.Backend != "" {
-			return s, true
-		}
-	}
-	return ExtStats{}, false
-}
 
 // ReadLatencySeconds are the bucket upper bounds (seconds) of every
 // device read-latency histogram, chosen to resolve page-cache hits
@@ -145,6 +130,9 @@ type ExtStats struct {
 	ReadaheadBytes int64
 	// Latency is the read-latency histogram over span reads.
 	Latency LatencyStats
+	// Faults counts injected faults; zero unless a FaultDevice is in the
+	// device stack.
+	Faults FaultStats
 }
 
 // Sub returns the counter deltas since an earlier snapshot. The
@@ -160,6 +148,7 @@ func (s ExtStats) Sub(prev ExtStats) ExtStats {
 	out.ReadaheadHints -= prev.ReadaheadHints
 	out.ReadaheadBytes -= prev.ReadaheadBytes
 	out.Latency = s.Latency.Sub(prev.Latency)
+	out.Faults = s.Faults.Sub(prev.Faults)
 	return out
 }
 

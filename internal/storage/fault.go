@@ -90,6 +90,18 @@ func (s FaultStats) Sub(prev FaultStats) FaultStats {
 	}
 }
 
+// add sums two devices' counters (both tiers of a Tiered, or a
+// FaultDevice and one wrapped inside it).
+func (s FaultStats) add(o FaultStats) FaultStats {
+	return FaultStats{
+		Requests:    s.Requests + o.Requests,
+		Errors:      s.Errors + o.Errors,
+		Shorts:      s.Shorts + o.Shorts,
+		Slows:       s.Slows + o.Slows,
+		Corruptions: s.Corruptions + o.Corruptions,
+	}
+}
+
 // FaultDevice wraps a Device and injects read errors, short reads, and
 // latency spikes according to a FaultConfig. Fault decisions are made at
 // submission time under a lock, so a serial submitter (like the engine's
@@ -188,13 +200,6 @@ func (f *FaultDevice) SetConfig(cfg FaultConfig) error {
 	f.rng = rand.New(rand.NewSource(cfg.Seed))
 	f.mu.Unlock()
 	return nil
-}
-
-// FaultStats returns a snapshot of the injection counters.
-func (f *FaultDevice) FaultStats() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
 }
 
 // roll draws one fault decision. Caller holds f.mu.
@@ -348,21 +353,20 @@ func (f *FaultDevice) ReadSync(offset int64, buf []byte) error {
 // Stats implements Device, forwarding the inner device's counters.
 func (f *FaultDevice) Stats() Stats { return f.inner.Stats() }
 
-// ExtStats implements ExtStatser, forwarding the inner device's
-// extended counters (fault injection does not change them).
+// ExtStats implements Device: the inner device's extended counters
+// (fault injection does not change them) plus this device's injection
+// counters.
 func (f *FaultDevice) ExtStats() ExtStats {
-	s, _ := ExtStatsOf(f.inner)
+	s := f.inner.ExtStats()
+	f.mu.Lock()
+	s.Faults = s.Faults.add(f.stats)
+	f.mu.Unlock()
 	return s
 }
 
-// Readahead implements Readaheader, forwarding the hint when the inner
-// device accepts hints. Faults are never injected into readahead — it
-// is advisory and carries no data.
-func (f *FaultDevice) Readahead(offset, n int64) {
-	if ra, ok := f.inner.(Readaheader); ok {
-		ra.Readahead(offset, n)
-	}
-}
+// Readahead implements Device, forwarding the hint. Faults are never
+// injected into readahead — it is advisory and carries no data.
+func (f *FaultDevice) Readahead(offset, n int64) { f.inner.Readahead(offset, n) }
 
 // Close implements Device. Pending completions no one will read are
 // dropped so the pump can exit even when the channel is full.

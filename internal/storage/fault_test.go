@@ -67,7 +67,7 @@ func TestFaultDeviceNoFaultsIsTransparent(t *testing.T) {
 	if !bytes.Equal(reqs[0].Buf, src.data[100:5100]) {
 		t.Fatal("data mismatch through fault device")
 	}
-	if st := f.FaultStats(); st.Requests != 1 || st.Errors+st.Shorts+st.Slows != 0 {
+	if st := f.ExtStats().Faults; st.Requests != 1 || st.Errors+st.Shorts+st.Slows != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -82,7 +82,7 @@ func TestFaultDeviceErrorRateOne(t *testing.T) {
 			t.Fatalf("completion %+v not an injected error", c)
 		}
 	}
-	if st := f.FaultStats(); st.Errors != 10 {
+	if st := f.ExtStats().Faults; st.Errors != 10 {
 		t.Fatalf("Errors = %d, want 10", st.Errors)
 	}
 }
@@ -100,7 +100,7 @@ func TestFaultDeviceShortReads(t *testing.T) {
 			t.Fatalf("short read N = %d, want in (0,512)", c.N)
 		}
 	}
-	if st := f.FaultStats(); st.Shorts != 10 {
+	if st := f.ExtStats().Faults; st.Shorts != 10 {
 		t.Fatalf("Shorts = %d, want 10", st.Shorts)
 	}
 }
@@ -120,7 +120,7 @@ func TestFaultDeviceSlowdowns(t *testing.T) {
 			t.Fatalf("slow completion corrupted: %+v", c)
 		}
 	}
-	if st := f.FaultStats(); st.Slows != 3 {
+	if st := f.ExtStats().Faults; st.Slows != 3 {
 		t.Fatalf("Slows = %d, want 3", st.Slows)
 	}
 }
@@ -193,7 +193,7 @@ func TestFaultDeviceCorruption(t *testing.T) {
 	if diff > 3 {
 		t.Fatalf("%d bytes differ, want at most CorruptBytes=3", diff)
 	}
-	if st := f.FaultStats(); st.Corruptions != 1 {
+	if st := f.ExtStats().Faults; st.Corruptions != 1 {
 		t.Fatalf("Corruptions = %d, want 1", st.Corruptions)
 	}
 }
@@ -209,7 +209,7 @@ func TestFaultDeviceCorruptionReadSync(t *testing.T) {
 	if bytes.Equal(buf, src.data[:256]) {
 		t.Fatal("ReadSync buffer not corrupted at CorruptRate 1")
 	}
-	if st := f.FaultStats(); st.Corruptions != 1 {
+	if st := f.ExtStats().Faults; st.Corruptions != 1 {
 		t.Fatalf("Corruptions = %d, want 1", st.Corruptions)
 	}
 }
@@ -234,7 +234,7 @@ func TestFaultDeviceCorruptMax(t *testing.T) {
 	if !bytes.Equal(buf, src.data[:256]) {
 		t.Fatal("second read corrupted despite CorruptMax=1")
 	}
-	if st := f.FaultStats(); st.Corruptions != 1 {
+	if st := f.ExtStats().Faults; st.Corruptions != 1 {
 		t.Fatalf("Corruptions = %d, want 1", st.Corruptions)
 	}
 }
@@ -325,5 +325,36 @@ func TestFaultDeviceCloseWithPending(t *testing.T) {
 	}
 	if err := f.Submit(reqs[:1]); err == nil {
 		t.Fatal("Submit after Close succeeded")
+	}
+}
+
+// Injected-fault counters travel up the device stack inside ExtStats: a
+// Tiered sums its tiers' counters, and a FaultDevice adds its own to
+// whatever the devices under it injected, so the engine reads one total
+// from the top of any composition.
+func TestFaultCountersForwardAndMerge(t *testing.T) {
+	src := newMemSource(1 << 16)
+	fast := newFault(t, src, FaultConfig{Seed: 1, ErrorRate: 1})
+	slow := newFault(t, src, FaultConfig{Seed: 2, ShortRate: 1})
+	tiered, err := NewTiered(fast, slow, 1<<15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := NewFaultDevice(tiered, FaultConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer top.Close()
+
+	submitN(t, top, 16, 4096) // 8 requests per tier, none spanning
+	want := FaultStats{Requests: 32, Errors: 8, Shorts: 8}
+	if got := top.ExtStats().Faults; got != want {
+		t.Fatalf("merged fault counters = %+v, want %+v", got, want)
+	}
+	if got := tiered.ExtStats().Faults; got != (FaultStats{Requests: 16, Errors: 8, Shorts: 8}) {
+		t.Fatalf("tiered fault counters = %+v", got)
+	}
+	if es := top.ExtStats(); es.Backend != "sim+sim" {
+		t.Fatalf("Backend = %q through the wrappers, want sim+sim", es.Backend)
 	}
 }

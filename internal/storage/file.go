@@ -388,7 +388,7 @@ func (d *FileDevice) ReadSync(offset int64, buf []byte) error {
 	return (<-done).Err
 }
 
-// Readahead implements Readaheader: it advises the kernel (fadvise
+// Readahead implements Device: it advises the kernel (fadvise
 // WILLNEED on Linux) or schedules a background warm read elsewhere.
 // Direct mode drops hints — there is no cache to warm.
 func (d *FileDevice) Readahead(offset, n int64) {
@@ -444,7 +444,7 @@ func (d *FileDevice) Stats() Stats {
 	}
 }
 
-// ExtStats implements ExtStatser.
+// ExtStats implements Device.
 func (d *FileDevice) ExtStats() ExtStats {
 	mode := "buffered"
 	if d.direct.Load() {

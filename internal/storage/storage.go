@@ -304,7 +304,11 @@ func (a *Array) Stats() Stats {
 	}
 }
 
-// ExtStats implements ExtStatser. The simulator issues one physical
+// Readahead implements Device. The simulator has no cache to warm, so
+// every hint is dropped.
+func (a *Array) Readahead(offset, n int64) {}
+
+// ExtStats implements Device. The simulator issues one physical
 // read per stripe chunk, so Spans counts chunks and Coalesced stays
 // zero; latency includes the bandwidth model's service time, which is
 // the point of comparing it against the file backend.

@@ -186,35 +186,25 @@ func (t *Tiered) TierStats() (fast, slow Stats) {
 	return t.fast.Stats(), t.slow.Stats()
 }
 
-// ExtStats implements ExtStatser, merging whichever tiers track
-// extended counters.
+// ExtStats implements Device, merging both tiers' counters.
 func (t *Tiered) ExtStats() ExtStats {
-	fs, fok := ExtStatsOf(t.fast)
-	ss, sok := ExtStatsOf(t.slow)
-	switch {
-	case fok && sok:
-		out := fs
-		out.Backend = fs.Backend + "+" + ss.Backend
-		if ss.Mode != "" && ss.Mode != fs.Mode {
-			out.Mode = fs.Mode + "+" + ss.Mode
-		}
-		out.QueueDepth += ss.QueueDepth
-		out.Inflight += ss.Inflight
-		out.Spans += ss.Spans
-		out.Coalesced += ss.Coalesced
-		out.GapBytes += ss.GapBytes
-		out.PadBytes += ss.PadBytes
-		out.DirectReads += ss.DirectReads
-		out.ReadaheadHints += ss.ReadaheadHints
-		out.ReadaheadBytes += ss.ReadaheadBytes
-		out.Latency = addLatency(fs.Latency, ss.Latency)
-		return out
-	case fok:
-		return fs
-	case sok:
-		return ss
+	out, ss := t.fast.ExtStats(), t.slow.ExtStats()
+	if ss.Mode != "" && ss.Mode != out.Mode {
+		out.Mode += "+" + ss.Mode
 	}
-	return ExtStats{}
+	out.Backend += "+" + ss.Backend
+	out.QueueDepth += ss.QueueDepth
+	out.Inflight += ss.Inflight
+	out.Spans += ss.Spans
+	out.Coalesced += ss.Coalesced
+	out.GapBytes += ss.GapBytes
+	out.PadBytes += ss.PadBytes
+	out.DirectReads += ss.DirectReads
+	out.ReadaheadHints += ss.ReadaheadHints
+	out.ReadaheadBytes += ss.ReadaheadBytes
+	out.Latency = addLatency(out.Latency, ss.Latency)
+	out.Faults = out.Faults.add(ss.Faults)
+	return out
 }
 
 func addLatency(a, b LatencyStats) LatencyStats {
@@ -238,27 +228,16 @@ func addLatency(a, b LatencyStats) LatencyStats {
 	return out
 }
 
-// Readahead implements Readaheader, forwarding the hinted range to the
+// Readahead implements Device, forwarding the hinted range to the
 // tier(s) that own it.
 func (t *Tiered) Readahead(offset, n int64) {
 	end := offset + n
 	if offset < t.boundary {
-		fe := end
-		if fe > t.boundary {
-			fe = t.boundary
-		}
-		if ra, ok := t.fast.(Readaheader); ok {
-			ra.Readahead(offset, fe-offset)
-		}
+		t.fast.Readahead(offset, min(end, t.boundary)-offset)
 	}
 	if end > t.boundary {
-		so := offset
-		if so < t.boundary {
-			so = t.boundary
-		}
-		if ra, ok := t.slow.(Readaheader); ok {
-			ra.Readahead(so, end-so)
-		}
+		so := max(offset, t.boundary)
+		t.slow.Readahead(so, end-so)
 	}
 }
 

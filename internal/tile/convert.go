@@ -32,11 +32,6 @@ type ConvertOptions struct {
 	Codec string
 	// Degrees writes the degree file alongside the graph.
 	Degrees bool
-	// FormatVersion selects the on-disk format: 0 means the version the
-	// codec implies (v2 for snb/raw, v3 for the v3 codec); VersionV1
-	// writes the legacy layout without checksums for compatibility
-	// testing.
-	FormatVersion int
 	// FS routes the converter's file writes; nil selects the real
 	// filesystem. The fault-injection harness uses it to crash or fail
 	// conversions at arbitrary points.
@@ -52,27 +47,6 @@ func (o ConvertOptions) codec() (Codec, error) {
 		return CodecRaw, nil
 	}
 	return ParseCodec(o.Codec)
-}
-
-// formatVersion resolves FormatVersion against the codec, validating the
-// combination.
-func (o ConvertOptions) formatVersion(c Codec) (int, error) {
-	switch o.FormatVersion {
-	case 0:
-		return c.FormatVersion(), nil
-	case Version, VersionV1:
-		if c == CodecV3 {
-			return 0, fmt.Errorf("tile: codec v3 requires format version %d, not %d", VersionV3, o.FormatVersion)
-		}
-		return o.FormatVersion, nil
-	case VersionV3:
-		if c != CodecV3 {
-			return 0, fmt.Errorf("tile: format version %d requires codec v3, not %q", VersionV3, c)
-		}
-		return VersionV3, nil
-	default:
-		return 0, fmt.Errorf("tile: cannot write format version %d", o.FormatVersion)
-	}
 }
 
 // DefaultConvertOptions returns the paper's configuration.
@@ -112,10 +86,6 @@ func Convert(el *graph.EdgeList, dir, name string, opts ConvertOptions) (*Graph,
 	numStored := start[nt]
 
 	codec, err := opts.codec()
-	if err != nil {
-		return nil, err
-	}
-	ver, err := opts.formatVersion(codec)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +130,7 @@ func Convert(el *graph.EdgeList, dir, name string, opts ConvertOptions) (*Graph,
 		})
 	}
 	m := &Meta{
-		Magic: Magic, Version: ver, Name: name,
+		Magic: Magic, Version: codec.FormatVersion(), Name: name,
 		NumVertices: el.NumVertices,
 		NumStored:   numStored,
 		NumOriginal: int64(len(el.Edges)),
@@ -209,26 +179,24 @@ func Convert(el *graph.EdgeList, dir, name string, opts ConvertOptions) (*Graph,
 	if err := fsutil.WriteFileFS(fsys, startPath(base), startData, 0o644); err != nil {
 		return nil, err
 	}
-	if ver >= Version {
-		var crcs []uint32
-		if codec == CodecV3 {
-			crcs = tileChecksumsAt(data, byteOff)
-		} else {
-			crcs = tileChecksums(data, start, tupleBytes)
-		}
-		crcData := encodeTileCRCs(crcs)
-		if err := fsutil.WriteFileFS(fsys, crcPath(base), crcData, 0o644); err != nil {
-			return nil, err
-		}
-		m.Manifest = &Manifest{
-			Start:   sumBytes(startData),
-			Tiles:   sumBytes(data),
-			TileCRC: sumBytes(crcData),
-		}
-		if degData != nil {
-			s := sumBytes(degData)
-			m.Manifest.Deg = &s
-		}
+	var crcs []uint32
+	if codec == CodecV3 {
+		crcs = tileChecksumsAt(data, byteOff)
+	} else {
+		crcs = tileChecksums(data, start, tupleBytes)
+	}
+	crcData := encodeTileCRCs(crcs)
+	if err := fsutil.WriteFileFS(fsys, crcPath(base), crcData, 0o644); err != nil {
+		return nil, err
+	}
+	m.Manifest = &Manifest{
+		Start:   sumBytes(startData),
+		Tiles:   sumBytes(data),
+		TileCRC: sumBytes(crcData),
+	}
+	if degData != nil {
+		s := sumBytes(degData)
+		m.Manifest.Deg = &s
 	}
 	// Meta last: the commit point of the conversion. A crash right here
 	// leaves every section written but no meta — the graph simply does

@@ -60,10 +60,6 @@ func ConvertExternal(edgePath string, numVertices uint32, directed bool,
 	if err != nil {
 		return nil, err
 	}
-	ver, err := opts.formatVersion(codec)
-	if err != nil {
-		return nil, err
-	}
 	// Per-tuple staging size: encoded bytes for the fixed-width codecs, a
 	// 4-byte packed sort key for v3 (the block encoding happens per tile
 	// at scatter time).
@@ -272,7 +268,7 @@ func ConvertExternal(edgePath string, numVertices uint32, directed bool,
 	}
 
 	m := &Meta{
-		Magic: Magic, Version: ver, Name: name,
+		Magic: Magic, Version: codec.FormatVersion(), Name: name,
 		NumVertices: numVertices,
 		NumStored:   numStored,
 		NumOriginal: original,
@@ -309,20 +305,18 @@ func ConvertExternal(edgePath string, numVertices uint32, directed bool,
 	if err := fsutil.WriteFileFS(fsys, startPath(base), startData, 0o644); err != nil {
 		return nil, err
 	}
-	if ver >= Version {
-		crcData := encodeTileCRCs(crcs)
-		if err := fsutil.WriteFileFS(fsys, crcPath(base), crcData, 0o644); err != nil {
-			return nil, err
-		}
-		m.Manifest = &Manifest{
-			Start:   sumBytes(startData),
-			Tiles:   SectionSum{Bytes: tilesBytes, CRC32C: tilesHash.Sum32()},
-			TileCRC: sumBytes(crcData),
-		}
-		if degData != nil {
-			s := sumBytes(degData)
-			m.Manifest.Deg = &s
-		}
+	crcData := encodeTileCRCs(crcs)
+	if err := fsutil.WriteFileFS(fsys, crcPath(base), crcData, 0o644); err != nil {
+		return nil, err
+	}
+	m.Manifest = &Manifest{
+		Start:   sumBytes(startData),
+		Tiles:   SectionSum{Bytes: tilesBytes, CRC32C: tilesHash.Sum32()},
+		TileCRC: sumBytes(crcData),
+	}
+	if degData != nil {
+		s := sumBytes(degData)
+		m.Manifest.Deg = &s
 	}
 	// Meta last: the commit point of the conversion.
 	if err := fsys.CrashPoint("tile.convert.before-meta"); err != nil {

@@ -17,15 +17,15 @@
 //
 // All converter outputs are written crash-safely (tmp file + fsync +
 // atomic rename, meta last), so an interrupted conversion leaves either a
-// fully valid graph or no graph — never a torn one. Format v1 graphs
-// (no .crc, no manifest, no meta trailer) still open read-compatibly with
-// checksum verification disabled and a logged warning.
+// fully valid graph or no graph — never a torn one. Every readable graph
+// carries the checksum layer: a format v1 header (no .crc, no manifest,
+// no meta trailer) is rejected by Open and Fsck with an error that says
+// to re-convert.
 package tile
 
 import (
 	"encoding/json"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 
@@ -39,9 +39,6 @@ const Magic = "GSTORE-TILES"
 // Version is the current fixed-width format version: v2 adds per-tile
 // CRC32C checksums, the section manifest, and the meta checksum trailer.
 const Version = 2
-
-// VersionV1 is the legacy checksum-free format, still readable.
-const VersionV1 = 1
 
 // VersionV3 is the compressed-tile format: v2's integrity layer plus the
 // sorted delta+varint block codec for tile data (codec "v3") and a
@@ -76,8 +73,8 @@ type Meta struct {
 	// symmetry saving, §IV-A).
 	Half bool `json:"half"`
 	// SNB is true when tuples use the 2-byte-per-endpoint encoding.
-	// Retained alongside Codec for v1/v2 compatibility; TupleCodec
-	// resolves the two.
+	// Retained alongside Codec for v2 compatibility; TupleCodec resolves
+	// the two.
 	SNB bool `json:"snb"`
 	// Codec names the tuple encoding: "" (derive from SNB), "snb",
 	// "raw", or "v3" (sorted delta+varint blocks; requires Version 3).
@@ -85,7 +82,7 @@ type Meta struct {
 	// DegreeFormat is "", "compact" (§IV-C) or "plain".
 	DegreeFormat string `json:"degree_format,omitempty"`
 	// Manifest records each section file's byte length and whole-file
-	// CRC32C digest. Required for version >= 2; absent in v1 headers.
+	// CRC32C digest.
 	Manifest *Manifest `json:"manifest,omitempty"`
 }
 
@@ -95,7 +92,7 @@ type Meta struct {
 func (m *Meta) TupleBytes() int64 { return m.TupleCodec().TupleBytes() }
 
 // TupleCodec resolves the header's codec fields into a Codec value. For
-// v1/v2 headers (empty Codec string) the legacy SNB flag decides between
+// v2 headers (empty Codec string) the legacy SNB flag decides between
 // SNB and raw.
 func (m *Meta) TupleCodec() Codec {
 	if m.Codec == "" {
@@ -121,10 +118,12 @@ func (m *Meta) Validate() error {
 	switch {
 	case m.Magic != Magic:
 		return fmt.Errorf("tile: bad magic %q", m.Magic)
-	case m.Version != Version && m.Version != VersionV1 && m.Version != VersionV3:
-		return fmt.Errorf("tile: unsupported version %d (this build reads v%d, v%d and v%d)",
-			m.Version, VersionV1, Version, VersionV3)
-	case m.Version >= Version && m.Manifest == nil:
+	case m.Version == 1:
+		return fmt.Errorf("tile: format v1 graph has no checksums and is no longer readable; re-convert it from its edge list")
+	case m.Version != Version && m.Version != VersionV3:
+		return fmt.Errorf("tile: unsupported version %d (this build reads v%d and v%d)",
+			m.Version, Version, VersionV3)
+	case m.Manifest == nil:
 		return fmt.Errorf("tile: v%d header without a section manifest", m.Version)
 	case m.NumVertices == 0:
 		return fmt.Errorf("tile: zero vertices")
@@ -157,7 +156,7 @@ func tilesPath(p string) string { return p + ".tiles" }
 func crcPath(p string) string   { return p + ".crc" }
 func degPath(p string) string   { return p + ".deg" }
 
-// writeMeta serializes the header, appends the v2 checksum trailer, and
+// writeMeta serializes the header, appends the checksum trailer, and
 // writes it atomically. The meta file is the commit point of a
 // conversion: it is written last, so its presence implies every section
 // it names was already durably written.
@@ -166,11 +165,7 @@ func writeMeta(fsys faultfs.FS, p string, m *Meta) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if m.Version >= Version {
-		data = signMeta(data)
-	}
-	return fsutil.WriteFileFS(fsys, metaPath(p), data, 0o644)
+	return fsutil.WriteFileFS(fsys, metaPath(p), signMeta(append(data, '\n')), 0o644)
 }
 
 func readMeta(p string) (*Meta, error) {
@@ -192,16 +187,12 @@ func readMeta(p string) (*Meta, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if m.Version >= Version && !signed {
+	if !signed {
 		return nil, fmt.Errorf("tile: meta %s is v%d but has no checksum trailer (truncated header)",
 			metaPath(p), m.Version)
 	}
 	return &m, nil
 }
-
-// warnf lets tests capture the v1 compatibility warning; it defaults to
-// the standard logger.
-var warnf = log.Printf
 
 // BasePath joins dir and name into the base path used by Create/Open.
 func BasePath(dir, name string) string { return filepath.Join(dir, name) }

@@ -29,9 +29,8 @@ func (f FsckFinding) String() string {
 
 // FsckReport is the result of an offline integrity check.
 type FsckReport struct {
-	Base        string
-	Version     int
-	Checksummed bool
+	Base    string
+	Version int
 	// TilesChecked counts tiles whose per-tile CRC32C was verified.
 	TilesChecked int
 	// TuplesChecked counts tuples whose endpoints were range-validated.
@@ -62,21 +61,20 @@ func (r *FsckReport) add(section string, tileIdx int, format string, args ...int
 // Fsck validates the graph stored at base path p offline and reports
 // every problem it can find rather than stopping at the first:
 //
-//   - meta: readable, checksum trailer intact (v2), JSON valid, header
+//   - meta: readable, checksum trailer intact, JSON valid, header
 //     invariants hold
-//   - start: manifest length+digest (v2), entries non-negative and
-//     monotone from zero, final entry matching the meta edge count
-//   - crc: manifest length+digest (v2)
-//   - tiles: file size, whole-file digest (v2), then per-tile: CRC32C
-//     against the sidecar (v2) and every decoded tuple inside its tile's
-//     vertex ranges
-//   - deg: manifest length+digest (v2), decodable, and in agreement with
-//     the degrees recounted from the tuples
+//   - start: manifest length+digest, entries non-negative and monotone
+//     from zero, final entry matching the meta edge count
+//   - crc: manifest length+digest
+//   - tiles: file size, whole-file digest, then per-tile: CRC32C against
+//     the sidecar and every decoded tuple inside its tile's vertex ranges
+//   - deg: manifest length+digest, decodable, and in agreement with the
+//     degrees recounted from the tuples
 //
 // Unlike Open, Fsck never trusts one section to validate another: a
 // corrupt start index does not prevent the tiles file's whole-file digest
-// from being checked. It works on v1 graphs too, skipping the checksum
-// layers (Checksummed reports false in that case).
+// from being checked. A v1 graph, which has no checksum layer to check,
+// is reported as an invalid header that says to re-convert.
 func Fsck(p string) *FsckReport {
 	r := &FsckReport{Base: p}
 
@@ -102,12 +100,11 @@ func Fsck(p string) *FsckReport {
 		r.add("meta", -1, "invalid header: %v", err)
 		return r
 	}
-	if m.Version >= Version && !signed {
+	if !signed {
 		r.add("meta", -1, "v%d header has no checksum trailer (truncated)", m.Version)
 		return r
 	}
 	r.Version = m.Version
-	r.Checksummed = m.Version >= Version
 	layout, err := grid.New(m.NumVertices, m.TileBits, m.GroupQ, !m.Directed && m.Half)
 	if err != nil {
 		r.add("meta", -1, "layout: %v", err)
@@ -124,10 +121,8 @@ func Fsck(p string) *FsckReport {
 	if sdata, err := os.ReadFile(startPath(p)); err != nil {
 		r.add("start", -1, "unreadable: %v", err)
 	} else {
-		if r.Checksummed {
-			if err := m.Manifest.Start.check("start-edge file", sumBytes(sdata)); err != nil {
-				r.add("start", -1, "%v", err)
-			}
+		if err := m.Manifest.Start.check("start-edge file", sumBytes(sdata)); err != nil {
+			r.add("start", -1, "%v", err)
 		}
 		if s, bo, err := parseStartCodec(sdata, startPath(p), nt, codec); err != nil {
 			r.add("start", -1, "%v", err)
@@ -140,18 +135,14 @@ func Fsck(p string) *FsckReport {
 
 	// --- crc sidecar --------------------------------------------------
 	var tileCRC []uint32
-	if r.Checksummed {
-		if cdata, err := os.ReadFile(crcPath(p)); err != nil {
-			r.add("crc", -1, "unreadable: %v", err)
-		} else {
-			if err := m.Manifest.TileCRC.check("tile checksum file", sumBytes(cdata)); err != nil {
-				r.add("crc", -1, "%v", err)
-			} else if c, err := decodeTileCRCs(cdata, nt); err != nil {
-				r.add("crc", -1, "%v", err)
-			} else {
-				tileCRC = c
-			}
-		}
+	if cdata, err := os.ReadFile(crcPath(p)); err != nil {
+		r.add("crc", -1, "unreadable: %v", err)
+	} else if err := m.Manifest.TileCRC.check("tile checksum file", sumBytes(cdata)); err != nil {
+		r.add("crc", -1, "%v", err)
+	} else if c, err := decodeTileCRCs(cdata, nt); err != nil {
+		r.add("crc", -1, "%v", err)
+	} else {
+		tileCRC = c
 	}
 
 	// --- tiles --------------------------------------------------------
@@ -184,13 +175,11 @@ func Fsck(p string) *FsckReport {
 					st.Size(), want, m.NumStored, tb)
 				return
 			}
-			if r.Checksummed {
-				got, err := fileSum(tilesPath(p))
-				if err != nil {
-					r.add("tiles", -1, "digest: %v", err)
-				} else if err := m.Manifest.Tiles.check("tiles file", got); err != nil {
-					r.add("tiles", -1, "%v", err)
-				}
+			got, err := fileSum(tilesPath(p))
+			if err != nil {
+				r.add("tiles", -1, "digest: %v", err)
+			} else if err := m.Manifest.Tiles.check("tiles file", got); err != nil {
+				r.add("tiles", -1, "%v", err)
 			}
 			if start == nil || (codec == CodecV3 && byteOff == nil) {
 				return // cannot locate individual tiles without the index
@@ -261,7 +250,7 @@ func Fsck(p string) *FsckReport {
 		if ddata, err := os.ReadFile(degPath(p)); err != nil {
 			r.add("deg", -1, "unreadable: %v", err)
 		} else {
-			if r.Checksummed && m.Manifest.Deg != nil {
+			if m.Manifest.Deg != nil {
 				if err := m.Manifest.Deg.check("degree file", sumBytes(ddata)); err != nil {
 					r.add("deg", -1, "%v", err)
 				}

@@ -33,14 +33,14 @@ func FuzzMetaParse(f *testing.F) {
 			return
 		}
 		// Anything accepted must satisfy the validated invariants.
-		if m.Magic != Magic || (m.Version != Version && m.Version != VersionV1) ||
+		if m.Magic != Magic || (m.Version != Version && m.Version != VersionV3) ||
 			m.NumVertices == 0 ||
 			m.TileBits == 0 || m.TileBits > 16 || (m.Directed && m.Half) {
 			t.Fatalf("invalid meta accepted: %+v", m)
 		}
-		// A v2 header may only be accepted with an intact manifest.
-		if m.Version >= Version && m.Manifest == nil {
-			t.Fatalf("v2 meta accepted without manifest: %+v", m)
+		// A header may only be accepted with an intact manifest.
+		if m.Manifest == nil {
+			t.Fatalf("meta accepted without manifest: %+v", m)
 		}
 	})
 }

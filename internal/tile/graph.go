@@ -19,22 +19,22 @@ type Graph struct {
 	Start []int64
 	// ByteOff holds per-tile byte-offset prefix sums (NumTiles+1
 	// entries) for the variable-width v3 codec, whose tile extents
-	// cannot be derived from tuple counts. Nil for v1/v2 graphs.
+	// cannot be derived from tuple counts. Nil for v2 graphs.
 	ByteOff []int64
 
 	base    string
 	tiles   *os.File
-	tileCRC []uint32 // per-tile CRC32C, disk order; nil for v1 graphs
+	tileCRC []uint32 // per-tile CRC32C, disk order
 }
 
 // Open opens the graph stored at base path p (as produced by Convert).
 //
-// For v2 graphs every small section is verified against the manifest
-// before use: the meta trailer, the start-edge file's length and digest,
-// and the checksum sidecar's length and digest. The tiles file is only
-// size-checked here — its contents are verified tile-by-tile on the read
-// path (and exhaustively by Fsck). v1 graphs open with checksum
-// verification disabled and a logged warning.
+// Every small section is verified against the manifest before use: the
+// meta trailer, the start-edge file's length and digest, and the checksum
+// sidecar's length and digest. The tiles file is only size-checked here —
+// its contents are verified tile-by-tile on the read path (and
+// exhaustively by Fsck). A v1 graph, which has none of this, does not
+// open: the error says to re-convert it.
 func Open(p string) (*Graph, error) {
 	m, err := readMeta(p)
 	if err != nil {
@@ -51,24 +51,19 @@ func Open(p string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tileCRC []uint32
-	if m.Version >= Version {
-		if err := m.Manifest.Start.check("start-edge file", sumBytes(sdata)); err != nil {
-			return nil, err
-		}
-		cdata, err := os.ReadFile(crcPath(p))
-		if err != nil {
-			return nil, fmt.Errorf("tile: v2 graph missing checksum sidecar: %w", err)
-		}
-		if err := m.Manifest.TileCRC.check("tile checksum file", sumBytes(cdata)); err != nil {
-			return nil, err
-		}
-		if tileCRC, err = decodeTileCRCs(cdata, nt); err != nil {
-			return nil, err
-		}
-	} else {
-		warnf("tile: %s: legacy v%d format, checksum verification disabled (re-convert for end-to-end integrity)",
-			p, m.Version)
+	if err := m.Manifest.Start.check("start-edge file", sumBytes(sdata)); err != nil {
+		return nil, err
+	}
+	cdata, err := os.ReadFile(crcPath(p))
+	if err != nil {
+		return nil, fmt.Errorf("tile: graph missing checksum sidecar: %w", err)
+	}
+	if err := m.Manifest.TileCRC.check("tile checksum file", sumBytes(cdata)); err != nil {
+		return nil, err
+	}
+	tileCRC, err := decodeTileCRCs(cdata, nt)
+	if err != nil {
+		return nil, err
 	}
 	start, byteOff, err := parseStartCodec(sdata, startPath(p), nt, m.TupleCodec())
 	if err != nil {
@@ -96,7 +91,7 @@ func Open(p string) (*Graph, error) {
 		return nil, fmt.Errorf("tile: tiles file is %d bytes but the start-edge index says %d bytes",
 			st.Size(), want)
 	}
-	if m.Version >= Version && m.Manifest.Tiles.Bytes != st.Size() {
+	if m.Manifest.Tiles.Bytes != st.Size() {
 		f.Close()
 		return nil, fmt.Errorf("tile: tiles file is %d bytes, manifest says %d",
 			st.Size(), m.Manifest.Tiles.Bytes)
@@ -104,12 +99,7 @@ func Open(p string) (*Graph, error) {
 	return &Graph{Meta: m, Layout: layout, Start: start, ByteOff: byteOff, base: p, tiles: f, tileCRC: tileCRC}, nil
 }
 
-// Checksummed reports whether the graph carries per-tile CRC32C
-// checksums (format v2).
-func (g *Graph) Checksummed() bool { return g.tileCRC != nil }
-
 // TileChecksum returns the recorded CRC32C of the tile at disk index i.
-// Only meaningful when Checksummed reports true.
 func (g *Graph) TileChecksum(i int) uint32 { return g.tileCRC[i] }
 
 // Close releases the underlying file handle.
@@ -203,9 +193,8 @@ func (g *Graph) DataBytes() int64 {
 func (g *Graph) StartBytes() int64 { return int64(len(g.Start)+len(g.ByteOff)) * 8 }
 
 // Degrees loads the degree file and returns a DegreeSource: the compact
-// table for "compact" format, a plain array for the fallback. On a v2
-// graph the file's length and CRC32C are verified against the manifest
-// before decoding.
+// table for "compact" format, a plain array for the fallback. The file's
+// length and CRC32C are verified against the manifest before decoding.
 func (g *Graph) Degrees() (DegreeSource, error) {
 	switch g.Meta.DegreeFormat {
 	case "":
@@ -218,7 +207,7 @@ func (g *Graph) Degrees() (DegreeSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.Meta.Version >= Version && g.Meta.Manifest.Deg != nil {
+	if g.Meta.Manifest.Deg != nil {
 		if err := g.Meta.Manifest.Deg.check("degree file", sumBytes(data)); err != nil {
 			return nil, err
 		}

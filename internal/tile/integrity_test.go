@@ -1,7 +1,7 @@
 package tile
 
 import (
-	"fmt"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -22,14 +22,14 @@ func TestConvertFsckRoundTripV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if !g.Checksummed() || g.Meta.Version != Version {
-		t.Fatalf("converted graph not v2-checksummed: version=%d", g.Meta.Version)
+	if g.Meta.Version != Version {
+		t.Fatalf("converted graph is version %d, want %d", g.Meta.Version, Version)
 	}
 	r := Fsck(g.BasePath())
 	if !r.OK() {
 		t.Fatalf("fsck of a fresh graph found problems: %v", r.Findings)
 	}
-	if !r.Checksummed || r.TilesChecked == 0 || r.TuplesChecked != g.Meta.NumStored {
+	if r.TilesChecked != g.Layout.NumTiles() || r.TuplesChecked != g.Meta.NumStored {
 		t.Fatalf("fsck report incomplete: %+v", r)
 	}
 	for i := 0; i < g.Layout.NumTiles(); i++ {
@@ -39,49 +39,44 @@ func TestConvertFsckRoundTripV2(t *testing.T) {
 	}
 }
 
-// v1 graphs (written with FormatVersion) still convert, open with a
-// logged warning, fsck structurally, and serve reads — backward compat.
-func TestConvertFsckRoundTripV1(t *testing.T) {
+// A format v1 header — version 1, no manifest, no checksum trailer, as
+// the converter wrote them before the integrity layer — is refused by
+// Open and by Fsck with an error that says what to do about it, so no
+// graph can be opened that the read path would not verify.
+func TestV1HeaderRejectedWithReconvertHint(t *testing.T) {
 	el, err := gen.Generate(gen.Graph500Config(9, 8, 82))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	opts := testOpts(5, 2)
-	opts.FormatVersion = VersionV1
-
-	var warned []string
-	oldWarn := warnf
-	warnf = func(format string, args ...interface{}) { warned = append(warned, fmt.Sprintf(format, args...)) }
-	defer func() { warnf = oldWarn }()
-
-	g, err := Convert(el, dir, "g", opts)
+	g, err := Convert(el, t.TempDir(), "g", testOpts(5, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	if g.Checksummed() || g.Meta.Version != VersionV1 || g.Meta.Manifest != nil {
-		t.Fatalf("v1 graph carries v2 state: %+v", g.Meta)
+	base := g.BasePath()
+	m := *g.Meta
+	g.Close()
+	m.Version, m.Manifest = 1, nil
+	payload, err := json.MarshalIndent(&m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(warned) == 0 || !strings.Contains(warned[0], "legacy") {
-		t.Fatalf("opening a v1 graph logged no legacy warning: %v", warned)
+	if err := os.WriteFile(metaPath(base), append(payload, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// No checksum sidecar on disk.
-	if _, err := os.Stat(crcPath(g.BasePath())); !os.IsNotExist(err) {
-		t.Fatalf("v1 conversion wrote a crc sidecar: %v", err)
+	if err := os.Remove(crcPath(base)); err != nil {
+		t.Fatal(err)
 	}
-	r := Fsck(g.BasePath())
-	if !r.OK() {
-		t.Fatalf("fsck of a v1 graph found problems: %v", r.Findings)
+
+	if g, err := Open(base); err == nil {
+		g.Close()
+		t.Fatal("Open accepted a v1 graph")
+	} else if !strings.Contains(err.Error(), "re-convert") {
+		t.Fatalf("Open error = %v, want one that says to re-convert", err)
 	}
-	if r.Checksummed || r.TilesChecked != 0 {
-		t.Fatalf("v1 fsck claims checksum coverage: %+v", r)
-	}
-	if r.TuplesChecked != g.Meta.NumStored {
-		t.Fatalf("v1 fsck checked %d tuples, want %d", r.TuplesChecked, g.Meta.NumStored)
-	}
-	if err := Verify(g); err != nil {
-		t.Fatalf("Verify(v1): %v", err)
+	r := Fsck(base)
+	if r.OK() || len(r.Findings) != 1 || r.Findings[0].Section != "meta" ||
+		!strings.Contains(r.Findings[0].Detail, "re-convert") {
+		t.Fatalf("fsck of a v1 graph = %v, want one meta finding that says to re-convert", r.Findings)
 	}
 }
 
@@ -100,9 +95,6 @@ func TestConvertExternalFsck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if !g.Checksummed() {
-		t.Fatal("external conversion did not produce a checksummed graph")
-	}
 	r := Fsck(g.BasePath())
 	if !r.OK() {
 		t.Fatalf("fsck of external conversion found problems: %v", r.Findings)
@@ -251,18 +243,5 @@ func TestReadTileDetectsCorruption(t *testing.T) {
 	}
 	if ce.Tile != victim {
 		t.Fatalf("ChecksumError names tile %d, want %d", ce.Tile, victim)
-	}
-}
-
-// A rejected FormatVersion must fail conversion up front.
-func TestConvertRejectsUnknownFormatVersion(t *testing.T) {
-	el, err := gen.Generate(gen.Graph500Config(8, 4, 87))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOpts(5, 2)
-	opts.FormatVersion = 7
-	if _, err := Convert(el, t.TempDir(), "g", opts); err == nil {
-		t.Fatal("Convert accepted format version 7")
 	}
 }

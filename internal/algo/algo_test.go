@@ -19,7 +19,7 @@ type memGraph struct {
 	tiles [][]byte
 }
 
-func load(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions) *memGraph {
+func load(t testing.TB, el *graph.EdgeList, opts tile.ConvertOptions) *memGraph {
 	t.Helper()
 	g, err := tile.Convert(el, t.TempDir(), "t", opts)
 	if err != nil {
@@ -50,6 +50,29 @@ func load(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions) *memGraph 
 		mg.tiles = append(mg.tiles, append([]byte(nil), data...))
 	}
 	return mg
+}
+
+// edges is one tile decoded to full-ID tuples.
+type edges struct{ src, dst []uint32 }
+
+// decoded returns every tile's tuples, for drivers that cut their own
+// batches.
+func (mg *memGraph) decoded(t testing.TB) []edges {
+	t.Helper()
+	out := make([]edges, len(mg.tiles))
+	for i, data := range mg.tiles {
+		c := mg.g.Layout.CoordAt(i)
+		rowBase, _ := mg.g.Layout.VertexRange(c.Row)
+		colBase, _ := mg.g.Layout.VertexRange(c.Col)
+		e := &out[i]
+		err := tile.DecodeTuples(data, mg.g.Meta.TupleCodec(), rowBase, colBase, func(s, d uint32) {
+			e.src, e.dst = append(e.src, s), append(e.dst, d)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // testWorkers is the worker count the mini-engine announces to kernels
@@ -119,7 +142,7 @@ func defaultOpts() tile.ConvertOptions {
 	return tile.ConvertOptions{TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true}
 }
 
-func kronEL(t *testing.T, scale uint, ef int, seed uint64) *graph.EdgeList {
+func kronEL(t testing.TB, scale uint, ef int, seed uint64) *graph.EdgeList {
 	t.Helper()
 	el, err := gen.Generate(gen.Graph500Config(scale, ef, seed))
 	if err != nil {

@@ -1,6 +1,11 @@
 package algo
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+
+	"github.com/gwu-systems/gstore/internal/grid"
+)
 
 // Atomic primitives shared by the kernels. Edge batches are processed by
 // many goroutines and — because a tile touches both its row and column
@@ -51,11 +56,7 @@ func (b *bitset) Has(i uint32) bool {
 }
 
 // Clear zeroes the whole set (not concurrent-safe).
-func (b *bitset) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
+func (b *bitset) Clear() { clear(b.words) }
 
 // Any reports whether any bit is set (not concurrent-safe).
 func (b *bitset) Any() bool {
@@ -71,19 +72,61 @@ func (b *bitset) Any() bool {
 func (b *bitset) Count() int {
 	n := 0
 	for _, w := range b.words {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
 // SizeBytes reports the bitmap's footprint.
 func (b *bitset) SizeBytes() int64 { return int64(len(b.words)) * 8 }
+
+// retirement is the traversal kernels' exact form of §III's "the adjacency
+// list of a previously visited node will never need to be accessed again",
+// at the tile granularity the engine fetches at. A tuple with an endpoint
+// that was visited before the current iteration began is spent: that
+// endpoint is on this iteration's frontier or has been, and it can never be
+// discovered, so nothing crosses the tuple later. A tile holding only such
+// tuples is dead, and skipping it cannot change an answer.
+//
+// Within an iteration every batch of a tile marks it seen, and live when
+// the batch held a tuple that is not spent. fold retires the tiles that
+// were seen and never live — which is exact only because the engine
+// delivers every batch of a tile it dispatches before it calls
+// AfterIteration. "Visited before the iteration began" is the same
+// whichever batch asks, so a run retires the same tiles in the same
+// iterations however many workers race. Bits are indexed by
+// Layout.DiskIndex.
+type retirement struct {
+	layout           *grid.Layout
+	seen, live, dead bitset
+}
+
+func newRetirement(l *grid.Layout) retirement {
+	n := uint32(l.NumTiles())
+	return retirement{layout: l, seen: *newBitset(n), live: *newBitset(n), dead: *newBitset(n)}
+}
+
+// observe records one batch of tile (row, col); safe for concurrent use.
+func (t *retirement) observe(row, col uint32, live bool) {
+	i := uint32(t.layout.DiskIndex(row, col))
+	t.seen.Set(i)
+	if live {
+		t.live.Set(i)
+	}
+}
+
+// fold ends an iteration (not concurrent-safe).
+func (t *retirement) fold() {
+	for i, seen := range t.seen.words {
+		t.dead.words[i] |= seen &^ t.live.words[i]
+	}
+	t.seen.Clear()
+	t.live.Clear()
+}
+
+// retired reports whether tile (row, col) can never produce work again.
+func (t *retirement) retired(row, col uint32) bool {
+	return t.dead.Has(uint32(t.layout.DiskIndex(row, col)))
+}
+
+func (t *retirement) sizeBytes() int64 { return 3 * t.dead.SizeBytes() }

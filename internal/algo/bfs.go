@@ -23,12 +23,7 @@ type BFS struct {
 	added   atomic.Int64
 	curRow  *bitset // tile rows containing current-frontier vertices
 	nextRow *bitset
-	// rowUnvisited[r] counts still-unvisited vertices in tile row r. Once
-	// a row (and, under symmetry, a column) hits zero, its tiles can never
-	// produce work again — the paper's §III observation that "the
-	// adjacency list of a previously visited node will never need to be
-	// accessed again", which drives proactive eviction.
-	rowUnvisited []atomic.Int64
+	tiles   retirement
 }
 
 // NewBFS returns a BFS kernel rooted at root.
@@ -52,19 +47,9 @@ func (b *BFS) Init(ctx *Context) error {
 	}
 	b.curRow = newBitset(ctx.Layout.P)
 	b.nextRow = newBitset(ctx.Layout.P)
-	b.rowUnvisited = make([]atomic.Int64, ctx.Layout.P)
-	width := int64(ctx.Layout.TileWidth())
-	for r := uint32(0); r < ctx.Layout.P; r++ {
-		lo, _ := ctx.Layout.VertexRange(r)
-		n := int64(ctx.NumVertices) - int64(lo)
-		if n > width {
-			n = width
-		}
-		b.rowUnvisited[r].Store(n)
-	}
+	b.tiles = newRetirement(ctx.Layout)
 	b.depth[b.Root] = 0
 	b.curRow.Set(ctx.Layout.TileOf(b.Root))
-	b.rowUnvisited[ctx.Layout.TileOf(b.Root)].Add(-1)
 	return nil
 }
 
@@ -78,44 +63,64 @@ func (b *BFS) BeforeIteration(iter int) {
 	b.added.Store(0)
 }
 
-// ProcessEdges implements Algorithm. The depth CAS must stay atomic
-// (batches race on shared vertices), but the frontier bitmap and the
-// per-row counters are pure bookkeeping: a batch touches only its tile's
-// row and column ranges, so discoveries are counted in two stack-local
-// accumulators and flushed with at most three atomic operations per batch
-// instead of three per discovered vertex.
+// ProcessEdges implements Algorithm. Almost every tuple discovers nothing,
+// and which ones do is data-dependent, so the test is arithmetic: fz is
+// zero exactly when src is on the frontier and dst unvisited, rz the same
+// for the mirrored direction of Algorithm 1 (lines 8–10; forced non-zero
+// unless only the upper triangle is stored), and the one branch taken per
+// tuple — "no discovery" — is taken all but at most |V| times a run.
+//
+// A tuple can discover something in a later iteration only if one endpoint
+// is on a later frontier while the other is still unvisited, so it is spent
+// as soon as either endpoint has depth in [0, level]: that endpoint's turn
+// on the frontier is this iteration or has passed, and it can never be
+// discovered. The tile stays live while some tuple has neither — late, the
+// largest "earlier endpoint" of the batch as unsigned depths, exceeds level.
+// Depths in [0, level] were settled before the iteration began, so the
+// verdict does not depend on how batches race, and it is the same test for
+// symmetric and directed storage.
+//
+// The depth CAS must stay atomic (batches race on shared vertices), but the
+// frontier bitmap and the counters are pure bookkeeping: a batch touches
+// only its tile's row and column ranges, so discoveries are counted in
+// stack-local accumulators and flushed once per batch.
 func (b *BFS) ProcessEdges(_ int, row, col uint32, src, dst []uint32) {
 	level := b.level
 	depth := b.depth
-	half := b.ctx.Half
+	dst = dst[:len(src)]
+	var oneWay uint32 // all ones unless the mirrored direction applies
+	if !b.ctx.Half {
+		oneWay = ^uint32(0)
+	}
 	var fwd, rev int64 // discoveries in the col and row ranges
+	var late uint32    // max over tuples of the earlier endpoint's depth, −1 being latest
 	for i, s := range src {
 		d := dst[i]
-		// Forward direction: src on the frontier discovers dst.
-		if atomic.LoadInt32(&depth[s]) == level && atomic.LoadInt32(&depth[d]) == -1 {
+		ds, dd := atomic.LoadInt32(&depth[s]), atomic.LoadInt32(&depth[d])
+		late = max(late, min(uint32(ds), uint32(dd)))
+		fz := uint32(ds^level) | ^uint32(dd)
+		rz := uint32(dd^level) | ^uint32(ds) | oneWay
+		if fz != 0 && rz != 0 {
+			continue
+		}
+		if fz == 0 {
 			if atomic.CompareAndSwapInt32(&depth[d], -1, level+1) {
 				fwd++
 			}
-		}
-		// Algorithm 1's added lines 8–10: with only the upper triangle
-		// stored, the mirrored direction must be checked too.
-		if half && atomic.LoadInt32(&depth[d]) == level && atomic.LoadInt32(&depth[s]) == -1 {
-			if atomic.CompareAndSwapInt32(&depth[s], -1, level+1) {
-				rev++
-			}
+		} else if atomic.CompareAndSwapInt32(&depth[s], -1, level+1) {
+			rev++
 		}
 	}
 	if fwd > 0 {
 		b.nextRow.Set(col)
-		b.rowUnvisited[col].Add(-fwd)
 	}
 	if rev > 0 {
 		b.nextRow.Set(row)
-		b.rowUnvisited[row].Add(-rev)
 	}
 	if fwd+rev > 0 {
 		b.added.Add(fwd + rev)
 	}
+	b.tiles.observe(row, col, late > uint32(level))
 }
 
 // AfterIteration implements Algorithm.
@@ -123,38 +128,26 @@ func (b *BFS) AfterIteration(int) bool {
 	done := b.added.Load() == 0
 	b.curRow, b.nextRow = b.nextRow, b.curRow
 	b.nextRow.Clear()
+	b.tiles.fold()
 	return done
 }
 
 // NeedTileThisIter implements Algorithm. A tile can produce work when the
 // frontier intersects its source range — or, under symmetry storage, its
-// destination range.
+// destination range — unless it has retired.
 func (b *BFS) NeedTileThisIter(row, col uint32) bool {
-	if b.curRow.Has(row) {
-		return true
-	}
-	return b.ctx.Half && b.curRow.Has(col)
+	return (b.curRow.Has(row) || b.ctx.Half && b.curRow.Has(col)) && !b.tiles.retired(row, col)
 }
 
-// NeedTileNextIter implements Algorithm, applying the proactive caching
-// rules of §VI-C with the partial information available mid-iteration:
-// a tile is surely needed if the (partial) next frontier already touches
-// its ranges; surely dead if every vertex in its ranges is visited (no
-// new frontier can ever arise there); otherwise conservatively kept.
-func (b *BFS) NeedTileNextIter(row, col uint32) bool {
-	if b.nextRow.Has(row) || (b.ctx.Half && b.nextRow.Has(col)) {
-		return true
-	}
-	if b.rowUnvisited[row].Load() == 0 &&
-		(!b.ctx.Half || b.rowUnvisited[col].Load() == 0) {
-		return false
-	}
-	return true
-}
+// NeedTileNextIter implements Algorithm: the proactive caching rule of
+// §VI-C in its exact form. The next frontier is only partly known while the
+// iteration runs, so any tile that has not retired is conservatively kept;
+// a retired one is never needed again. The answer changes only in
+// AfterIteration, so it does not depend on when the engine asks.
+func (b *BFS) NeedTileNextIter(row, col uint32) bool { return !b.tiles.retired(row, col) }
 
 // MetadataBytes implements Algorithm: the depth array, the two frontier
-// row maps and the per-row unvisited counters.
+// row maps and the tile retirement bitmaps.
 func (b *BFS) MetadataBytes() int64 {
-	return int64(len(b.depth))*4 + b.curRow.SizeBytes() + b.nextRow.SizeBytes() +
-		int64(len(b.rowUnvisited))*8
+	return int64(len(b.depth))*4 + b.curRow.SizeBytes() + b.nextRow.SizeBytes() + b.tiles.sizeBytes()
 }

@@ -2,19 +2,22 @@ package algo
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
 // MSBFS runs up to 64 breadth-first searches concurrently in one pass
 // over the graph, the batched formulation of concurrent BFS the paper
-// cites as iBFS [22]. Every vertex carries two 64-bit masks:
+// cites as iBFS [22]. Every vertex carries three 64-bit masks:
 //
-//	visited[v] — bit i set once source i has reached v,
-//	cur[v]     — bit i set while v is on source i's current frontier.
+//	visited[v] — bit i set if source i had reached v when the current
+//	             iteration began,
+//	cur[v]     — bit i set while v is on source i's current frontier,
+//	next[v]    — bit i set once this iteration has brought source i to v.
 //
 // One tuple inspection advances all sources at once: the new frontier
-// bits of d are cur[s] &^ visited[d]. Sharing the graph pass across
-// sources amortizes the I/O that dominates semi-external BFS — one
+// bits of d are cur[s] &^ (visited[d] | next[d]). Sharing the graph pass
+// across sources amortizes the I/O that dominates semi-external BFS — one
 // stream of the tiles serves 64 traversals.
 //
 // Depths are recovered per source from the iteration at which each
@@ -33,6 +36,7 @@ type MSBFS struct {
 	added   atomic.Int64
 	curRow  *bitset
 	nextRow *bitset
+	tiles   retirement
 }
 
 // NewMSBFS returns a kernel traversing from up to 64 roots at once.
@@ -65,6 +69,7 @@ func (m *MSBFS) Init(ctx *Context) error {
 	}
 	m.curRow = newBitset(ctx.Layout.P)
 	m.nextRow = newBitset(ctx.Layout.P)
+	m.tiles = newRetirement(ctx.Layout)
 	for i, r := range m.Roots {
 		bit := uint64(1) << uint(i)
 		m.visited[r] |= bit
@@ -87,101 +92,98 @@ func (m *MSBFS) BeforeIteration(iter int) {
 	m.added.Store(0)
 }
 
-// ProcessEdges implements Algorithm. The masks only ever gain bits and
-// every update is a CAS, so batches of one tile are as safe to run
-// concurrently as tiles that share a vertex range.
+// ProcessEdges implements Algorithm. visited and cur do not change while an
+// iteration runs; what it discovers collects in next, which only gains bits
+// by CAS, so batches of one tile are as safe to run concurrently as tiles
+// that share a vertex range. f and r are the frontier bits the tuple carries
+// forward and — under symmetry storage — backward; "neither" is the one
+// branch per tuple and nearly always taken. As in BFS.ProcessEdges a tuple
+// stays live for the roots that had visited neither endpoint when the
+// iteration began, and the tile retires once no tuple is live for any root:
+// the full-mask rule, so one root that reaches little keeps every tile for
+// its batch mates. Discoveries are counted per batch and flushed with at
+// most three atomics, as in BFS.
 func (m *MSBFS) ProcessEdges(_ int, row, col uint32, src, dst []uint32) {
-	half := m.ctx.Half
+	cur, visited, next := m.cur, m.visited[:len(m.cur)], m.next[:len(m.cur)]
+	dst = dst[:len(src)]
+	var oneWay uint64 // all ones unless the mirrored direction applies
+	if !m.ctx.Half {
+		oneWay = ^uint64(0)
+	}
+	var fwd, rev int64 // vertices that gained bits in the col and row ranges
+	seen := ^uint64(0) // roots that had visited an endpoint of every tuple
 	for i, s := range src {
 		d := dst[i]
-		if f := atomic.LoadUint64(&m.cur[s]) &^ atomic.LoadUint64(&m.visited[d]); f != 0 {
-			m.spread(d, f, col)
-		}
-		if half {
-			if f := atomic.LoadUint64(&m.cur[d]) &^ atomic.LoadUint64(&m.visited[s]); f != 0 {
-				m.spread(s, f, row)
-			}
+		vs, vd := visited[s], visited[d]
+		seen &= vs | vd
+		f := cur[s] &^ (vd | atomic.LoadUint64(&next[d]))
+		r := cur[d] &^ (vs | atomic.LoadUint64(&next[s]) | oneWay)
+		if f|r != 0 {
+			fwd += m.spread(d, f)
+			rev += m.spread(s, r)
 		}
 	}
-}
-
-// spread installs the new frontier bits f at vertex v (tile index t).
-func (m *MSBFS) spread(v uint32, f uint64, t uint32) {
-	for {
-		old := atomic.LoadUint64(&m.visited[v])
-		add := f &^ old
-		if add == 0 {
-			return
-		}
-		if !atomic.CompareAndSwapUint64(&m.visited[v], old, old|add) {
-			continue
-		}
-		orUint64(&m.next[v], add)
-		m.nextRow.Set(t)
-		m.added.Add(1)
-		// Record depths for the sources that just arrived.
-		n := int(m.ctx.NumVertices)
-		for rest := add; rest != 0; {
-			i := trailingZeros(rest)
-			rest &^= 1 << uint(i)
-			m.depth[i*n+int(v)] = m.level + 1
-		}
-		return
+	if fwd > 0 {
+		m.nextRow.Set(col)
 	}
+	if rev > 0 {
+		m.nextRow.Set(row)
+	}
+	if fwd+rev > 0 {
+		m.added.Add(fwd + rev)
+	}
+	m.tiles.observe(row, col, ^seen<<(64-uint(len(m.Roots))) != 0) // full mask
 }
 
-func orUint64(p *uint64, v uint64) {
+// spread adds the frontier bits f to next[v] and reports whether (1 or 0)
+// any of them was new this iteration.
+func (m *MSBFS) spread(v uint32, f uint64) int64 {
+	p := &m.next[v]
 	for {
 		old := atomic.LoadUint64(p)
-		if old&v == v {
-			return
+		add := f &^ old
+		if add == 0 {
+			return 0
 		}
-		if atomic.CompareAndSwapUint64(p, old, old|v) {
-			return
+		if !atomic.CompareAndSwapUint64(p, old, old|add) {
+			continue
 		}
+		// Record depths for the sources that just arrived.
+		n := int(m.ctx.NumVertices)
+		for rest := add; rest != 0; rest &= rest - 1 {
+			m.depth[bits.TrailingZeros64(rest)*n+int(v)] = m.level + 1
+		}
+		return 1
 	}
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // AfterIteration implements Algorithm.
 func (m *MSBFS) AfterIteration(int) bool {
 	done := m.added.Load() == 0
-	m.cur, m.next = m.next, m.cur
-	for i := range m.next {
-		m.next[i] = 0
+	for v, n := range m.next {
+		m.visited[v] |= n // one pass instead of an atomic per discovery
 	}
+	m.cur, m.next = m.next, m.cur
+	clear(m.next)
 	m.curRow, m.nextRow = m.nextRow, m.curRow
 	m.nextRow.Clear()
+	m.tiles.fold()
 	return done
 }
 
 // NeedTileThisIter implements Algorithm.
 func (m *MSBFS) NeedTileThisIter(row, col uint32) bool {
-	if m.curRow.Has(row) {
-		return true
-	}
-	return m.ctx.Half && m.curRow.Has(col)
+	return (m.curRow.Has(row) || m.ctx.Half && m.curRow.Has(col)) && !m.tiles.retired(row, col)
 }
 
 // NeedTileNextIter implements Algorithm.
 func (m *MSBFS) NeedTileNextIter(row, col uint32) bool {
-	if m.nextRow.Has(row) {
-		return true
-	}
-	return m.ctx.Half && m.nextRow.Has(col)
+	return (m.nextRow.Has(row) || m.ctx.Half && m.nextRow.Has(col)) && !m.tiles.retired(row, col)
 }
 
-// MetadataBytes implements Algorithm: three masks plus the per-source
-// depth matrix.
+// MetadataBytes implements Algorithm: three masks, the per-source depth
+// matrix, the two frontier row maps and the tile retirement bitmaps.
 func (m *MSBFS) MetadataBytes() int64 {
-	return int64(len(m.visited)+len(m.cur)+len(m.next))*8 +
-		int64(len(m.depth))*4 + m.curRow.SizeBytes() + m.nextRow.SizeBytes()
+	return int64(len(m.visited)+len(m.cur)+len(m.next))*8 + int64(len(m.depth))*4 +
+		m.curRow.SizeBytes() + m.nextRow.SizeBytes() + m.tiles.sizeBytes()
 }

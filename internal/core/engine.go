@@ -932,15 +932,7 @@ func (e *Engine) hintReadahead(batch []*runState) {
 			flush()
 			continue
 		}
-		c := layout.CoordAt(i)
-		want := false
-		for _, r := range batch {
-			if !r.finished && r.alg.NeedTileNextIter(c.Row, c.Col) {
-				want = true
-				break
-			}
-		}
-		if !want {
+		if c := layout.CoordAt(i); !e.neededNext(batch, c.Row, c.Col) {
 			flush()
 			continue
 		}
@@ -957,6 +949,19 @@ func (e *Engine) hintReadahead(batch []*runState) {
 		}
 	}
 	flush()
+}
+
+// neededNext reports whether the next iteration will fetch tile (row, col)
+// for some live run of the batch: the union of the kernels'
+// NeedTileNextIter — or every tile, when selective fetching is off and the
+// sweep does not ask the kernels what to skip either.
+func (e *Engine) neededNext(batch []*runState, row, col uint32) bool {
+	for _, r := range batch {
+		if !r.finished && (!e.opts.Selective || r.alg.NeedTileNextIter(row, col)) {
+			return true
+		}
+	}
+	return false
 }
 
 // indexSorted returns the position of x in the ascending slice, or -1.
@@ -1452,14 +1457,7 @@ func (e *Engine) retire(batch []*runState, s *mem.Segment) {
 		e.mm.EvictOldest(need)
 		e.mm.Retire(s, nil)
 	default: // CacheProactive
-		keep := func(ref mem.TileRef) bool {
-			for _, r := range batch {
-				if !r.finished && r.alg.NeedTileNextIter(ref.Row, ref.Col) {
-					return true
-				}
-			}
-			return false
-		}
+		keep := func(ref mem.TileRef) bool { return e.neededNext(batch, ref.Row, ref.Col) }
 		if !e.mm.WouldFit(segBytes(s)) {
 			// Cache analysis happens when the pool is full (Figure 8,
 			// time Ti): evict tiles no live algorithm will need again.

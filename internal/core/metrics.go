@@ -112,26 +112,26 @@ func PublishStats(r *metrics.Registry, graph string, st *Stats) {
 	// Extended backend counters: present when the device tracks them
 	// (sim and file both do; wrappers forward). Labeled by backend so a
 	// daemon serving graphs on different backends keeps them apart.
-	if st.IO.Backend != "" {
-		b := metrics.L("backend", st.IO.Backend)
+	if io := &tot.IO; io.Backend != "" {
+		b := metrics.L("backend", io.Backend)
 		r.Gauge("gstore_storage_queue_depth",
 			"Requests submitted to the backend but not yet being read.", g, b).
-			Set(st.IO.QueueDepth)
+			Set(io.QueueDepth)
 		r.Gauge("gstore_storage_inflight",
 			"Requests the backend is reading right now.", g, b).
-			Set(st.IO.Inflight)
+			Set(io.Inflight)
 		r.Counter("gstore_storage_spans_total",
 			"Physical reads issued (per-disk chunks on sim, coalesced preads on file).", g, b).
-			Add(st.IO.Spans)
+			Set(io.Spans)
 		r.Counter("gstore_storage_coalesced_requests_total",
 			"Requests absorbed into a shared coalesced read.", g, b).
-			Add(st.IO.Coalesced)
+			Set(io.Coalesced)
 		r.Counter("gstore_storage_readahead_bytes_total",
 			"Bytes covered by accepted readahead hints.", g, b).
-			Add(st.IO.ReadaheadBytes)
+			Set(io.ReadaheadBytes)
 		r.Histogram("gstore_storage_read_seconds",
 			"Physical read latency by backend.", storage.ReadLatencySeconds, g, b).
-			Merge(st.IO.Latency.Counts, st.IO.Latency.SumSeconds())
+			Set(io.Latency.Counts, io.Latency.SumSeconds())
 	}
 
 	r.Histogram("gstore_engine_run_seconds",

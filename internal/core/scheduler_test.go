@@ -183,6 +183,22 @@ func requirePublishedTotals(t *testing.T, reg *metrics.Registry, e *Engine) Coun
 			t.Fatalf("%s = %d published, engine total %d", name, got, want)
 		}
 	}
+	// The device's own series, which eight overlapping per-run windows
+	// added up would overstate several times over.
+	bl := metrics.L("backend", tot.IO.Backend)
+	for name, want := range map[string]int64{
+		"gstore_storage_spans_total":              tot.IO.Spans,
+		"gstore_storage_coalesced_requests_total": tot.IO.Coalesced,
+		"gstore_storage_readahead_bytes_total":    tot.IO.ReadaheadBytes,
+	} {
+		if got := published(reg, name, bl); got != want {
+			t.Fatalf("%s = %d published, device total %d", name, got, want)
+		}
+	}
+	h := reg.Histogram("gstore_storage_read_seconds", "", storage.ReadLatencySeconds, metrics.L("graph", "g"), bl)
+	if lat := tot.IO.Latency; h.Count() != lat.Count || math.Abs(h.Sum()-lat.SumSeconds()) > 1e-9 {
+		t.Fatalf("read latency histogram holds %d reads, %v s; the device counted %d, %v s", h.Count(), h.Sum(), lat.Count, lat.SumSeconds())
+	}
 	for w := range tot.WorkerBusy {
 		wl := metrics.L("worker", strconv.Itoa(w))
 		if got, want := published(reg, "gstore_engine_worker_busy_microseconds_total", wl), tot.WorkerBusy[w].Microseconds(); got != want {
@@ -247,7 +263,7 @@ func TestConcurrentMixPublishesEngineTotals(t *testing.T) {
 		plain(algo.NewWCC()), plain(algo.NewWCC()),
 		plain(algo.NewPageRank(4)), plain(algo.NewPageRank(6)))
 	tot := requirePublishedTotals(t, reg, e)
-	if tot.IO.Faults.Errors == 0 || tot.IO.Faults.Shorts == 0 || sum(tot.WorkerChunks) == 0 {
+	if tot.IO.Faults.Errors == 0 || tot.IO.Faults.Shorts == 0 || sum(tot.WorkerChunks) == 0 || tot.IO.Spans == 0 || tot.IO.Latency.Count == 0 {
 		t.Fatalf("the mix injected no faults or did no work: %+v", tot)
 	}
 

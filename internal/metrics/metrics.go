@@ -54,10 +54,13 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Set raises the counter to an externally tracked cumulative value. A
 // value below the current one is ignored: a cumulative total only grows,
 // so it can only be an older snapshot that lost a race to a newer one.
-func (c *Counter) Set(v int64) {
+func (c *Counter) Set(v int64) { raise(&c.v, v) }
+
+// raise lifts *c to v unless it is there already or beyond.
+func raise(c *atomic.Int64, v int64) {
 	for {
-		old := c.v.Load()
-		if v <= old || c.v.CompareAndSwap(old, v) {
+		old := c.Load()
+		if v <= old || c.CompareAndSwap(old, v) {
 			return
 		}
 	}
@@ -115,29 +118,30 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Merge folds a per-bucket count delta and sum delta into the
-// histogram, for republishing histograms maintained elsewhere (e.g. a
-// storage backend's read-latency buckets captured per run). bucketCounts
-// must use this histogram's bounds; entries beyond len(bounds)+1 are
-// folded into +Inf, missing trailing entries count as zero.
-func (h *Histogram) Merge(bucketCounts []int64, sum float64) {
-	var total int64
+// Set raises the histogram to cumulative totals tracked elsewhere — the
+// per-bucket counts and the sum of everything observed — the way Counter.Set
+// mirrors a counter (e.g. a storage backend's read-latency buckets,
+// republished after every run). Nothing moves backwards, so concurrent
+// publishers holding totals of different ages converge on the newest.
+// bucketCounts must use this histogram's bounds; entries beyond
+// len(bounds)+1 are folded into +Inf, missing trailing entries count as
+// zero. Do not mix with Observe on one histogram.
+func (h *Histogram) Set(bucketCounts []int64, sum float64) {
+	var total, inf int64
+	last := len(h.counts) - 1
 	for i, c := range bucketCounts {
-		if c == 0 {
-			continue
-		}
-		j := i
-		if j >= len(h.counts) {
-			j = len(h.counts) - 1
-		}
-		h.counts[j].Add(c)
 		total += c
+		if i >= last {
+			inf += c
+		} else {
+			raise(&h.counts[i], c)
+		}
 	}
-	h.count.Add(total)
+	raise(&h.counts[last], inf)
+	raise(&h.count, total)
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + sum)
-		if h.sum.CompareAndSwap(old, next) {
+		if sum <= math.Float64frombits(old) || h.sum.CompareAndSwap(old, math.Float64bits(sum)) {
 			return
 		}
 	}

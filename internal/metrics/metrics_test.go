@@ -47,6 +47,33 @@ func TestLabelOrderInsensitive(t *testing.T) {
 	}
 }
 
+// Set mirrors cumulative totals: the newest snapshot wins whatever order
+// snapshots arrive in, a bucket beyond the bounds folds into +Inf, and the
+// series never moves backwards.
+func TestHistogramSetFromTotals(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("read_seconds", "latency", []float64{0.01, 0.1})
+	h.Set([]int64{4, 2, 1, 1}, 3.5) // newest first
+	h.Set([]int64{1, 2}, 0.25)      // an older snapshot arriving late
+	if h.Count() != 8 || h.Sum() != 3.5 {
+		t.Fatalf("count = %d, sum = %v, want 8 and 3.5", h.Count(), h.Sum())
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`read_seconds_bucket{le="0.01"} 4`,
+		`read_seconds_bucket{le="0.1"} 6`,
+		`read_seconds_bucket{le="+Inf"} 8`,
+		`read_seconds_count 8`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "latency", []float64{0.01, 0.1, 1})

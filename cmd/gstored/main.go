@@ -12,8 +12,9 @@
 // on this, not /healthz), GET /metrics (Prometheus text), GET /graphs,
 // GET /graphs/{name}, POST /graphs/{name}/{bfs|msbfs|pagerank|ppr|wcc|scc},
 // GET /graphs/{name}/{bfs|ppr}?root=N (the personalized fast path:
-// result-cached per -qcache-bytes/-qcache-ttl, and concurrent BFS roots
-// coalesce into one multi-source run within -batch-window),
+// result-cached per -qcache-bytes/-qcache-ttl; a BFS root that finds the
+// engine busy waits up to -batch-window for company and coalesces with it
+// into one multi-source run, one on an idle engine runs at once),
 // POST /graphs/{name}/edges (batch edge mutations through the WAL-backed
 // write path; disabled by -readonly), and (unless -pprof=false) the
 // net/http/pprof profiling handlers under /debug/pprof/.
@@ -72,7 +73,7 @@ func main() {
 	queueLen := flag.Int("queue", 64, "runs queued per graph beyond -maxruns before 429s")
 	qcacheBytes := flag.Int64("qcache-bytes", 64<<20, "personalized-query result cache budget in bytes (0 disables)")
 	qcacheTTL := flag.Duration("qcache-ttl", time.Minute, "result cache entry TTL")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "coalescing window fusing concurrent GET bfs roots into one msbfs run (0 disables)")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a GET bfs root that finds the engine busy waits for company to fuse into one msbfs run (an idle engine runs it at once; 0 disables)")
 	tenantMax := flag.Int("tenant-maxruns", 0, "max concurrent runs per ?tenant= label (0 = unlimited)")
 	disks := flag.Int("disks", 8, "simulated SSD count")
 	bw := flag.Float64("bandwidth", 0, "per-disk bandwidth in bytes/s (0 = unthrottled; -backend sim: per disk, file: aggregate)")

@@ -150,12 +150,13 @@ type Options struct {
 	// arriving with the batch and the queue both full is rejected with
 	// ErrQueueFull (servers surface 429). Zero queues nothing.
 	MaxQueuedRuns int
-	// BatchWindow is how long Scheduler.RunPersonalBFS holds a
-	// single-root BFS submission open for coalescing: requests for the
-	// same graph arriving within the window fuse into one multi-source
-	// BFS (up to 64 roots) occupying a single run slot. Zero (the
-	// default) disables coalescing — each personalized query runs as a
-	// solo BFS, the pre-batching behavior.
+	// BatchWindow is how long a Scheduler.RunPersonalBFS root that finds
+	// the engine busy waits for company: the distinct roots arriving
+	// within the window fuse into one multi-source BFS (up to 64 roots)
+	// occupying a single run slot. A root that finds the engine idle runs
+	// a solo BFS at once, as does a window that closes with one distinct
+	// root. Zero (the default) disables coalescing — every personalized
+	// query runs as a solo BFS.
 	BatchWindow time.Duration
 }
 

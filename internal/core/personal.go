@@ -10,14 +10,18 @@ import (
 	"github.com/gwu-systems/gstore/internal/algo"
 )
 
-// This file is the batched-run abstraction for personalized queries: the
-// scheduler coalesces compatible single-root BFS submissions (same
-// graph, arrival within Options.BatchWindow) into one multi-source BFS
-// that occupies a single run slot of the shared sweep, then
-// demultiplexes per-root depth vectors back to the callers. The bitmask
-// msbfs kernel advances all 64 traversals per tuple inspection, so the
-// coalesced run costs one slot and roughly one traversal's worth of
-// I/O where the one-root-per-slot path would have spent up to 64 slots.
+// This file is the batched-run abstraction for personalized queries: a
+// single-root BFS submission that finds the engine busy waits up to
+// Options.BatchWindow for company, and the roots that arrive in that
+// window fuse into one multi-source BFS that occupies a single run slot
+// of the shared sweep; per-root depth vectors are then demultiplexed
+// back to the callers. The bitmask msbfs kernel advances all 64
+// traversals per tuple inspection, so the coalesced run costs one slot
+// and roughly one traversal's worth of I/O where the one-root-per-slot
+// path would have spent up to 64 slots. A root that finds the engine
+// idle has no one to wait for and runs a plain BFS at once, and so does
+// a window that closes with one distinct root: the msbfs masks cost
+// more per vertex than BFS's depth array and buy nothing for one root.
 
 // personalBatch is one open coalescing window and, after it fires, the
 // shared outcome every rider demultiplexes from.
@@ -30,18 +34,20 @@ type personalBatch struct {
 
 	firedAt time.Time
 	done    chan struct{}
-	alg     *algo.MSBFS
+	depth   func(slot int) []int32 // the run's per-slot depth vectors
 	st      *Stats
 	err     error
 }
 
-// RunPersonalBFS answers one single-root BFS query through the
-// coalescing window: the calling goroutine blocks while the window
-// collects compatible roots (or, with BatchWindow zero, runs a solo BFS
-// immediately), then receives its own depth vector and a per-root view
-// of the shared run's stats (fractional I/O attribution, BatchedRoots
-// set to the number of coalesced roots). The returned depth slice
-// aliases the batch kernel's storage and must be treated as read-only.
+// RunPersonalBFS answers one single-root BFS query. A root that finds
+// the scheduler idle — no admitted run and no open window — or a
+// BatchWindow of zero runs a solo BFS at once. Otherwise the calling
+// goroutine parks in the coalescing window, opening one if none is open,
+// while the window collects compatible roots; it then receives its own
+// depth vector and a per-root view of the shared run's stats
+// (fractional I/O attribution, BatchedRoots set to the number of
+// coalesced roots). The returned depth slice aliases the run's storage
+// and must be treated as read-only.
 //
 // Error semantics match Run: *BadRequestError for an out-of-range root
 // (checked up front, so one bad root never poisons a batch),
@@ -52,7 +58,15 @@ func (s *Scheduler) RunPersonalBFS(ctx context.Context, root uint32) ([]int32, *
 	if n := s.e.g.Meta.NumVertices; root >= n {
 		return nil, nil, &BadRequestError{Err: fmt.Errorf("core: bfs root %d outside vertex space %d", root, n)}
 	}
-	if s.window <= 0 {
+
+	s.pmu.Lock()
+	if s.pclosed {
+		s.pmu.Unlock()
+		return nil, nil, ErrSchedulerClosed
+	}
+	b := s.curBatch
+	if b == nil && (s.window <= 0 || s.idle()) {
+		s.pmu.Unlock()
 		a := algo.NewBFS(root)
 		st, err := s.Run(ctx, a)
 		if st != nil {
@@ -64,13 +78,6 @@ func (s *Scheduler) RunPersonalBFS(ctx context.Context, root uint32) ([]int32, *
 		}
 		return a.Depths(), st, nil
 	}
-
-	s.pmu.Lock()
-	if s.pclosed {
-		s.pmu.Unlock()
-		return nil, nil, ErrSchedulerClosed
-	}
-	b := s.curBatch
 	if b == nil {
 		b = &personalBatch{slots: map[uint32]int{}, done: make(chan struct{})}
 		s.curBatch = b
@@ -111,7 +118,7 @@ func (s *Scheduler) RunPersonalBFS(ctx context.Context, root uint32) ([]int32, *
 	if b.err != nil {
 		return nil, st, b.err
 	}
-	return b.alg.Depth(slot), st, nil
+	return b.depth(slot), st, nil
 }
 
 // demuxStats builds one rider's view of the batch outcome: a copy of
@@ -133,10 +140,19 @@ func (s *Scheduler) demuxStats(b *personalBatch, enqueued time.Time) *Stats {
 	return &st
 }
 
+// idle reports whether the scheduler has no admitted run, so a new root
+// has no company to wait for. Callers hold pmu (lock order pmu → mu).
+func (s *Scheduler) idle() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.active == 0
+}
+
 // firePersonal detaches b (exactly once — the size trigger, the window
-// timer, and Close can race here) and runs the coalesced multi-source
-// BFS through the normal admission path, so the batch competes for a
-// slot like any other run and overflow still surfaces as ErrQueueFull.
+// timer, and Close can race here) and runs the batch through the normal
+// admission path, so it competes for a slot like any other run and
+// overflow still surfaces as ErrQueueFull: a plain BFS when the window
+// closed with one distinct root, the multi-source BFS otherwise.
 func (s *Scheduler) firePersonal(b *personalBatch) {
 	s.pmu.Lock()
 	if b.fired {
@@ -164,13 +180,20 @@ func (s *Scheduler) firePersonal(b *personalBatch) {
 	// waiting on.
 	rctx, cancel := mergeCancel(b.ctxs)
 	defer cancel()
-	a := algo.NewMSBFS(b.roots)
+	var a algo.Algorithm
+	if len(b.roots) == 1 {
+		bfs := algo.NewBFS(b.roots[0])
+		a, b.depth = bfs, func(int) []int32 { return bfs.Depths() }
+	} else {
+		ms := algo.NewMSBFS(b.roots)
+		a, b.depth = ms, ms.Depth
+	}
 	st, err := s.Run(rctx, a)
 	if st != nil {
 		st.BatchedRoots = len(b.roots)
 	}
 	s.notifyPersonal(st, err)
-	b.alg, b.st, b.err = a, st, err
+	b.st, b.err = st, err
 	close(b.done)
 }
 

@@ -27,6 +27,54 @@ func msbfsRoots(n int, nv uint32) []uint32 {
 	return roots
 }
 
+// occupy makes s busy, so a personalized root arriving now has company to
+// wait for and parks in a coalescing window instead of running solo: a
+// gated BFS is admitted and held at its first iteration boundary until the
+// returned release is called (cleanup calls it too). release waits for the
+// held run to finish; windows that fired meanwhile join its sweep.
+func occupy(t *testing.T, s *Scheduler) (release func()) {
+	t.Helper()
+	g := newGated(algo.NewBFS(0))
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Run(context.Background(), g)
+		done <- err
+	}()
+	<-g.entered
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(g.release)
+			if err := <-done; err != nil {
+				t.Errorf("occupying run: %v", err)
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// waitParked blocks until the open coalescing window holds n riders.
+func waitParked(t *testing.T, s *Scheduler, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.pmu.Lock()
+		parked := 0
+		if s.curBatch != nil {
+			parked = len(s.curBatch.ctxs)
+		}
+		s.pmu.Unlock()
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d parked riders (have %d)", n, parked)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestMSBFSMatchesSequentialBFS pins the batched kernel to the solo one:
 // a 64-root multi-source BFS must produce, for every root, exactly the
 // depth vector 64 sequential single-root BFS runs produce — across every
@@ -114,9 +162,9 @@ func TestMSBFSMatchesSequentialBFSAfterMutations(t *testing.T) {
 }
 
 // TestRunPersonalBFSCoalesces submits concurrent single-root queries
-// within one window and checks each rider gets exactly its solo BFS
-// depths, that the roots shared one run, and that I/O attribution is
-// split across the riders.
+// to a busy engine within one window and checks each rider gets exactly
+// its solo BFS depths, that the roots shared one run, and that I/O
+// attribution is split across the riders.
 func TestRunPersonalBFSCoalesces(t *testing.T) {
 	el := kron(t, 10, 8, 17)
 	g := convert(t, el, 6, 4)
@@ -125,6 +173,7 @@ func TestRunPersonalBFSCoalesces(t *testing.T) {
 	opts := smallOpts()
 	opts.BatchWindow = 200 * time.Millisecond // wide enough to swallow goroutine start skew
 	_, s := newSched(t, g, opts)
+	release := occupy(t, s)
 
 	roots := []uint32{0, 7, 99, 512, 1000}
 	type out struct {
@@ -142,6 +191,8 @@ func TestRunPersonalBFSCoalesces(t *testing.T) {
 			outs[i] = out{d, st, err}
 		}(i, r)
 	}
+	waitParked(t, s, len(roots))
+	release()
 	wg.Wait()
 
 	for i, r := range roots {
@@ -195,7 +246,7 @@ func TestRunPersonalBFSSoloWindow(t *testing.T) {
 }
 
 // TestRunPersonalBFSDuplicateRootsShareSlot: two riders on the same root
-// coalesce into a single-root run (one interest bit) and both get the
+// behind a busy engine coalesce into a single-root run and both get the
 // same depth vector.
 func TestRunPersonalBFSDuplicateRootsShareSlot(t *testing.T) {
 	el := kron(t, 10, 8, 23)
@@ -203,6 +254,7 @@ func TestRunPersonalBFSDuplicateRootsShareSlot(t *testing.T) {
 	opts := smallOpts()
 	opts.BatchWindow = 200 * time.Millisecond
 	_, s := newSched(t, g, opts)
+	release := occupy(t, s)
 
 	var wg sync.WaitGroup
 	var d1, d2 []int32
@@ -211,6 +263,8 @@ func TestRunPersonalBFSDuplicateRootsShareSlot(t *testing.T) {
 	wg.Add(2)
 	go func() { defer wg.Done(); d1, st1, err1 = s.RunPersonalBFS(context.Background(), 42) }()
 	go func() { defer wg.Done(); d2, st2, err2 = s.RunPersonalBFS(context.Background(), 42) }()
+	waitParked(t, s, 2)
+	release()
 	wg.Wait()
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v / %v", err1, err2)
@@ -261,26 +315,15 @@ func TestRunPersonalBFSCloseDuringWindow(t *testing.T) {
 	}
 	defer e.Close()
 	s := NewScheduler(e)
+	release := occupy(t, s)
 
 	errCh := make(chan error, 1)
 	go func() {
 		_, _, err := s.RunPersonalBFS(context.Background(), 5)
 		errCh <- err
 	}()
-	// Wait until the rider has opened the window.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.pmu.Lock()
-		open := s.curBatch != nil
-		s.pmu.Unlock()
-		if open {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("window never opened")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s, 1) // the rider has opened the window
+	release()           // the engine drains; the window stays open
 	s.Close()
 	select {
 	case err := <-errCh:
@@ -305,6 +348,7 @@ func TestRunPersonalBFSRiderCancel(t *testing.T) {
 	opts := smallOpts()
 	opts.BatchWindow = 300 * time.Millisecond
 	_, s := newSched(t, g, opts)
+	release := occupy(t, s)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	impatient := make(chan error, 1)
@@ -320,7 +364,8 @@ func TestRunPersonalBFSRiderCancel(t *testing.T) {
 		}
 		patient <- d
 	}()
-	time.Sleep(30 * time.Millisecond) // both riders parked in the window
+	waitParked(t, s, 2) // both riders parked in the window
+	release()
 	cancel()
 	if err := <-impatient; !errors.Is(err, context.Canceled) {
 		t.Fatalf("impatient rider err = %v, want context.Canceled", err)
@@ -347,6 +392,7 @@ func TestRunPersonalBFSSixtyFourRootCap(t *testing.T) {
 	opts.BatchWindow = 300 * time.Millisecond
 	opts.MaxQueuedRuns = 16
 	_, s := newSched(t, g, opts)
+	release := occupy(t, s)
 
 	const n = 65
 	nv := g.Meta.NumVertices
@@ -365,6 +411,11 @@ func TestRunPersonalBFSSixtyFourRootCap(t *testing.T) {
 			sts[i] = st
 		}(i)
 	}
+	// The first 64 distinct roots fill one batch, which fires at once and
+	// is admitted behind the held run; the 65th opens a second window.
+	waitActive(t, s, 2)
+	waitParked(t, s, 1)
+	release()
 	wg.Wait()
 	maxBatched := 0
 	for _, st := range sts {
@@ -396,6 +447,7 @@ func TestPersonalRunHookFiresOncePerRun(t *testing.T) {
 	defer e.Close()
 	s := NewScheduler(e)
 	defer s.Close()
+	release := occupy(t, s)
 
 	var mu sync.Mutex
 	var hooks []*Stats
@@ -422,6 +474,8 @@ func TestPersonalRunHookFiresOncePerRun(t *testing.T) {
 			mu.Unlock()
 		}(r)
 	}
+	waitParked(t, s, len(roots))
+	release()
 	wg.Wait()
 
 	mu.Lock()
@@ -435,5 +489,107 @@ func TestPersonalRunHookFiresOncePerRun(t *testing.T) {
 	// The hook sees undivided bytes; each rider sees ~1/len(roots) of them.
 	if riderBytes >= hooks[0].BytesRead {
 		t.Fatalf("rider bytes %d not a fraction of run bytes %d", riderBytes, hooks[0].BytesRead)
+	}
+}
+
+// TestRunPersonalBFSIdleSkipsWindow: a root that finds the engine idle
+// has no company to wait for, so it runs a solo BFS at once however wide
+// the window is.
+func TestRunPersonalBFSIdleSkipsWindow(t *testing.T) {
+	el := kron(t, 10, 8, 47)
+	g := convert(t, el, 6, 4)
+	opts := smallOpts()
+	opts.BatchWindow = 10 * time.Second // far beyond the test
+	_, s := newSched(t, g, opts)
+
+	begin := time.Now()
+	d, st, err := s.RunPersonalBFS(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(begin); took > time.Second {
+		t.Fatalf("idle root took %v: it waited in the window", took)
+	}
+	if st.BatchedRoots != 1 {
+		t.Fatalf("BatchedRoots = %d, want 1", st.BatchedRoots)
+	}
+	want := graph.RefBFS(graph.NewCSR(el, false), 3)
+	for v := range want {
+		if d[v] != want[v] {
+			t.Fatalf("depth[%d] = %d, want %d", v, d[v], want[v])
+		}
+	}
+}
+
+// TestPersonalRunHookSeesRunKind: the hook sees a plain bfs run for a root
+// on an idle engine and for a one-root window behind a busy one, and a
+// single msbfs run for two distinct roots behind a busy engine.
+func TestPersonalRunHookSeesRunKind(t *testing.T) {
+	el := kron(t, 10, 8, 53)
+	g := convert(t, el, 6, 4)
+	csr := graph.NewCSR(el, false)
+	opts := smallOpts()
+	opts.BatchWindow = 200 * time.Millisecond
+	_, s := newSched(t, g, opts)
+
+	var mu sync.Mutex
+	var hooks []Stats
+	s.PersonalRunHook = func(st *Stats, err error) {
+		if err != nil {
+			t.Errorf("hooked run: %v", err)
+			return
+		}
+		mu.Lock()
+		hooks = append(hooks, *st)
+		mu.Unlock()
+	}
+	// ask submits roots concurrently, releases the engine once they are all
+	// parked (when busy), and checks every answer against the reference.
+	ask := func(release func(), roots ...uint32) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for _, r := range roots {
+			wg.Add(1)
+			go func(r uint32) {
+				defer wg.Done()
+				d, _, err := s.RunPersonalBFS(context.Background(), r)
+				if err != nil {
+					t.Errorf("root %d: %v", r, err)
+					return
+				}
+				want := graph.RefBFS(csr, graph.VertexID(r))
+				for v := range want {
+					if d[v] != want[v] {
+						t.Errorf("root %d: depth[%d] = %d, want %d", r, v, d[v], want[v])
+						return
+					}
+				}
+			}(r)
+		}
+		if release != nil {
+			waitParked(t, s, len(roots))
+			release()
+		}
+		wg.Wait()
+	}
+
+	ask(nil, 4)              // idle engine: solo at once
+	ask(occupy(t, s), 6)     // busy engine, one root in the window
+	ask(occupy(t, s), 8, 10) // busy engine, two roots fuse
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := []struct {
+		alg   string
+		roots int
+	}{{"bfs", 1}, {"bfs", 1}, {"msbfs", 2}}
+	if len(hooks) != len(want) {
+		t.Fatalf("hook fired %d times, want %d", len(hooks), len(want))
+	}
+	for i, w := range want {
+		if hooks[i].Algorithm != w.alg || hooks[i].BatchedRoots != w.roots {
+			t.Fatalf("run %d: hook saw %s with %d roots, want %s with %d",
+				i, hooks[i].Algorithm, hooks[i].BatchedRoots, w.alg, w.roots)
+		}
 	}
 }

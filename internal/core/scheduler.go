@@ -47,8 +47,9 @@ type Scheduler struct {
 	maxQueue int
 
 	// PersonalRunHook, when non-nil, observes every underlying run the
-	// personalized-query path executes — once per coalesced msbfs (or
-	// solo fallback), with the undivided stats, never once per rider.
+	// personalized-query path executes — once per solo BFS (an idle
+	// engine, or a window that closed with one distinct root) and once
+	// per coalesced msbfs, with the undivided stats, never once per rider.
 	// Servers use it to publish engine counters without double counting.
 	// Set it before the first RunPersonalBFS; it is not synchronized.
 	PersonalRunHook func(st *Stats, err error)

@@ -18,8 +18,9 @@ import (
 // GET /graphs/{name}/bfs?root= and GET|POST /graphs/{name}/ppr answer
 // per-user queries through the result cache (qcache) and, for BFS, the
 // scheduler's coalescing window — so a burst of single-root queries
-// costs one msbfs run slot instead of one slot each, and repeats within
-// the TTL cost nothing at all.
+// arriving while the engine is busy costs one msbfs run slot instead of
+// one slot each, a query on an idle engine runs a plain BFS without
+// waiting, and repeats within the TTL cost nothing at all.
 
 // cacheHeader tells clients how their query was satisfied:
 // hit | miss | join | bypass.
@@ -203,8 +204,8 @@ func (s *Server) handlePersonal(w http.ResponseWriter, r *http.Request, h *Graph
 // within a factor of two.
 const personalEntryCost = 512
 
-// personalBFS answers one single-root BFS through the cache and the
-// scheduler's coalescing window.
+// personalBFS answers one single-root BFS through the cache and
+// Scheduler.RunPersonalBFS (a solo BFS or a coalesced run).
 func (s *Server) personalBFS(w http.ResponseWriter, r *http.Request, h *GraphHandle, root uint32, tenant string) {
 	fill := func() (interface{}, int64, error) {
 		release, err := s.acquireTenant(h, "bfs", tenant)

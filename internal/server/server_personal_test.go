@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/core"
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
@@ -18,8 +20,10 @@ import (
 )
 
 // personalTestServer serves one kron graph through the personalized
-// path: result cache on, the given coalescing window, and an optional
-// per-tenant run cap. Returns the edge list for reference computations.
+// path: result cache on, the given coalescing window, an optional
+// per-tenant run cap, and one run slot, so a window that fires behind
+// occupy's held run waits in the queue where waitQueued sees it. Returns
+// the edge list for reference computations.
 func personalTestServer(t *testing.T, window time.Duration, tenantMax int) (*Server, *httptest.Server, *graph.EdgeList) {
 	t.Helper()
 	s := New()
@@ -32,6 +36,7 @@ func personalTestServer(t *testing.T, window time.Duration, tenantMax int) (*Ser
 	opts.MemoryBytes = 2 << 20
 	opts.SegmentSize = 128 << 10
 	opts.Threads = 2
+	opts.MaxConcurrentRuns = 1
 	opts.BatchWindow = window
 
 	el, err := gen.Generate(gen.Graph500Config(9, 8, 95))
@@ -52,6 +57,65 @@ func personalTestServer(t *testing.T, window time.Duration, tenantMax int) (*Ser
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts, el
+}
+
+// gatedRun holds an algorithm at its first iteration boundary until
+// release is closed; entered is signaled when it gets there.
+type gatedRun struct {
+	algo.Algorithm
+	entered, release chan struct{}
+}
+
+func (g *gatedRun) AfterIteration(i int) bool {
+	done := g.Algorithm.AfterIteration(i)
+	if i == 0 {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return done
+}
+
+// occupy makes graph's engine busy, so personalized roots arriving now
+// park in a coalescing window instead of running solo at once: a gated
+// BFS is admitted straight through the scheduler (never the personal
+// path, so the personal metrics do not see it) and held until the
+// returned release is called (cleanup calls it too). release waits for
+// the held run to finish.
+func occupy(t *testing.T, s *Server, graph string) (release func()) {
+	t.Helper()
+	g := &gatedRun{Algorithm: algo.NewBFS(0), entered: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.lookup(graph).sched.Run(context.Background(), g)
+		done <- err
+	}()
+	<-g.entered
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(g.release)
+			if err := <-done; err != nil {
+				t.Errorf("occupying run: %v", err)
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// waitQueued blocks until n runs wait for admission on graph: behind
+// occupy's held run, that is a coalescing window that fired with the
+// riders parked in it.
+func waitQueued(t *testing.T, s *Server, graph string, n int) {
+	t.Helper()
+	sched := s.lookup(graph).sched
+	deadline := time.Now().Add(5 * time.Second)
+	for sched.QueueDepth() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d queued runs", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // getJSON GETs url and decodes the JSON body, returning the response
@@ -122,11 +186,35 @@ func TestPersonalBFSMissThenHit(t *testing.T) {
 	}
 }
 
+// TestPersonalBFSIdleSkipsWindowOverHTTP: a lone GET on an idle server
+// runs at once as a one-root run, however wide the window.
+func TestPersonalBFSIdleSkipsWindowOverHTTP(t *testing.T) {
+	_, ts, el := personalTestServer(t, 10*time.Second, 0)
+	begin := time.Now()
+	resp, out := getJSON(t, ts.URL+"/graphs/kron/bfs?root=7")
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET = %d: %v", resp.StatusCode, out)
+	}
+	if took := time.Since(begin); took > time.Second {
+		t.Fatalf("idle GET took %v: it waited in the window", took)
+	}
+	if br := int(out["batched_roots"].(float64)); br != 1 {
+		t.Fatalf("batched_roots = %d, want 1", br)
+	}
+	wantReached, wantDepth := refReach(el, 7)
+	if int(out["reached"].(float64)) != wantReached || int(out["max_depth"].(float64)) != wantDepth {
+		t.Fatalf("summary = reached %v depth %v, reference %d/%d",
+			out["reached"], out["max_depth"], wantReached, wantDepth)
+	}
+}
+
 // TestPersonalBFSCoalescedOverHTTP: concurrent GETs with distinct roots
-// inside one window fuse into a single multi-source run; every response
-// still carries that root's exact reference summary.
+// arriving at a busy engine inside one window fuse into a single
+// multi-source run; every response still carries that root's exact
+// reference summary.
 func TestPersonalBFSCoalescedOverHTTP(t *testing.T) {
-	_, ts, el := personalTestServer(t, 200*time.Millisecond, 0)
+	s, ts, el := personalTestServer(t, 200*time.Millisecond, 0)
+	release := occupy(t, s, "kron")
 	roots := []uint32{1, 5, 9, 33}
 
 	type res struct {
@@ -144,6 +232,8 @@ func TestPersonalBFSCoalescedOverHTTP(t *testing.T) {
 			results[i] = res{resp.StatusCode, out, resp.Header.Get(cacheHeader)}
 		}(i, r)
 	}
+	waitQueued(t, s, "kron", 1)
+	release()
 	wg.Wait()
 
 	for i, r := range roots {
@@ -213,7 +303,8 @@ func TestPersonalCacheInvalidationOnIngest(t *testing.T) {
 // a second query from the same tenant is rejected 429 with the distinct
 // status="quota" metric label while another tenant proceeds.
 func TestPersonalTenantQuota(t *testing.T) {
-	_, ts, _ := personalTestServer(t, 300*time.Millisecond, 1)
+	s, ts, _ := personalTestServer(t, 300*time.Millisecond, 1)
+	release := occupy(t, s, "kron")
 
 	first := make(chan int, 1)
 	go func() {
@@ -225,7 +316,7 @@ func TestPersonalTenantQuota(t *testing.T) {
 		resp.Body.Close()
 		first <- resp.StatusCode
 	}()
-	time.Sleep(60 * time.Millisecond) // rider 1 is parked in the window, holding alice's slot
+	waitQueued(t, s, "kron", 1) // rider 1's window fired behind the held run; she holds alice's slot
 
 	resp, err := http.Get(ts.URL + "/graphs/kron/bfs?root=2&tenant=alice")
 	if err != nil {
@@ -235,6 +326,7 @@ func TestPersonalTenantQuota(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second alice query = %d, want 429", resp.StatusCode)
 	}
+	release()
 
 	resp, err = http.Get(ts.URL + "/graphs/kron/bfs?root=3&tenant=bob")
 	if err != nil {
@@ -317,9 +409,9 @@ func TestPersonalBadRequests(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/graphs/kron/bfs", 400},                  // root required
-		{"/graphs/kron/bfs?root=zebra", 400},       // not a number
-		{"/graphs/kron/bfs?root=99999", 400},       // outside vertex space
+		{"/graphs/kron/bfs", 400},            // root required
+		{"/graphs/kron/bfs?root=zebra", 400}, // not a number
+		{"/graphs/kron/bfs?root=99999", 400}, // outside vertex space
 		{"/graphs/kron/ppr?root=1&iterations=-1", 400},
 		{"/graphs/kron/ppr?root=1&top=0", 400},
 		{"/graphs/nosuch/bfs?root=1", 404},

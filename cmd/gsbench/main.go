@@ -7,32 +7,17 @@
 //	gsbench -list
 //	gsbench -run all [-scale 18] [-edgefactor 16] [-workdir DIR]
 //	gsbench -run fig9,fig10 -quick
-//	gsbench -clients 8 -duration 10s [-benchout BENCH.json]
-//	gsbench -clients 8 -target http://localhost:8080
-//	gsbench -run chaos [-seed N] [-benchout CHAOS.json]
 //
-// The -clients mode is the closed-loop serving benchmark: N concurrent
-// clients fire mixed BFS/PageRank queries at one graph for -duration and
-// the report compares serialized execution against the shared-scan
-// scheduler (QPS, p50/p95/p99 latency, bytes per query). With -target it
-// load-tests a running gstored instead of an in-process server.
-//
-// The serve-personal experiment benchmarks the personalized-query path:
-// a Zipf mix of single-root BFS queries served one-root-per-slot vs
-// fused into multi-source runs (-batch-window) with the result cache on.
-//
-// The chaos experiment is a correctness harness, not a benchmark: seeded
-// schedules of ingest, flushes, injected write faults, and simulated
-// crashes, each followed by a restart whose recovered state must match a
-// fresh conversion of the reference edge set (DESIGN.md §15). Any
-// invariant violation makes the run fail.
+// The repository's performance benchmark is a separate harness:
+// bash benchmark/run.sh (see benchmark/README.md).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -40,53 +25,40 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the chosen experiments
+// and returns the exit code (2 for usage errors, 1 for a failed
+// experiment).
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("gsbench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		list       = flag.Bool("list", false, "list available experiments")
-		run        = flag.String("run", "", "comma-separated experiment IDs, or 'all'")
-		scale      = flag.Uint("scale", 0, "Kronecker scale of the primary workload (default 18, quick 14)")
-		edgeFactor = flag.Int("edgefactor", 0, "edges per vertex (default 16)")
-		seed       = flag.Uint64("seed", 0, "generator seed")
-		threads    = flag.Int("threads", 0, "worker threads (default GOMAXPROCS)")
-		sweep      = flag.String("sweep", "", "comma-separated thread counts for the sweep experiment, e.g. 1,2,4,8")
-		workDir    = flag.String("workdir", "", "directory for generated graphs (default under TMPDIR)")
-		quick      = flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-		clients    = flag.Int("clients", 0, "closed-loop client count for the serving benchmark")
-		duration   = flag.Duration("duration", 0, "serving benchmark phase duration (default 5s, quick 2s)")
-		target     = flag.String("target", "", "base URL of a running gstored to benchmark (default: in-process server)")
-		benchOut   = flag.String("benchout", "", "file for the serving benchmark's JSON report")
-		batchWin   = flag.Duration("batch-window", 0, "coalescing window of the serve-personal fused phase (default 2ms)")
+		list       = fl.Bool("list", false, "list available experiments")
+		runIDs     = fl.String("run", "", "comma-separated experiment IDs, or 'all'")
+		scale      = fl.Uint("scale", 0, "Kronecker scale of the primary workload (default 18, quick 14)")
+		edgeFactor = fl.Int("edgefactor", 0, "edges per vertex (default 16)")
+		seed       = fl.Uint64("seed", 0, "generator seed")
+		threads    = fl.Int("threads", 0, "worker threads (default GOMAXPROCS)")
+		workDir    = fl.String("workdir", "", "directory for generated graphs (default under TMPDIR)")
+		quick      = fl.Bool("quick", false, "shrink workloads for a fast smoke run")
 	)
-	flag.Parse()
-
-	var threadList []int
-	if *sweep != "" {
-		for _, s := range strings.Split(*sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "gsbench: bad -sweep entry %q\n", s)
-				os.Exit(2)
-			}
-			threadList = append(threadList, n)
-		}
-		// -sweep alone implies running the sweep experiment.
-		if *run == "" {
-			*run = "sweep"
-		}
-	}
-	// -clients or -target alone implies the serving benchmark.
-	if (*clients > 0 || *target != "") && *run == "" {
-		*run = "serve"
+	if err := fl.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 
-	if *list || *run == "" {
-		fmt.Println("experiments:")
+	if *list || *runIDs == "" {
+		fmt.Fprintln(stdout, "experiments:")
 		for _, r := range exp.All() {
-			fmt.Printf("  %-10s %s\n", r.ID, r.Title)
+			fmt.Fprintf(stdout, "  %-10s %s\n", r.ID, r.Title)
 		}
-		if *run == "" && !*list {
-			fmt.Println("\nuse -run <ids|all>")
+		if *runIDs == "" && !*list {
+			fmt.Fprintln(stdout, "\nuse -run <ids|all>")
 		}
-		return
+		return 0
 	}
 
 	cfg := &exp.Config{
@@ -95,38 +67,33 @@ func main() {
 		EdgeFactor: *edgeFactor,
 		Seed:       *seed,
 		Threads:    *threads,
-		Out:        os.Stdout,
+		Out:        stdout,
 		Quick:      *quick,
 	}
-	cfg.ThreadList = threadList
-	cfg.BenchClients = *clients
-	cfg.BenchDuration = *duration
-	cfg.Target = *target
-	cfg.BenchOut = *benchOut
-	cfg.BatchWindow = *batchWin
 	cfg.Defaults()
 
 	var ids []string
-	if *run == "all" {
+	if *runIDs == "all" {
 		for _, r := range exp.All() {
 			ids = append(ids, r.ID)
 		}
 	} else {
-		ids = strings.Split(*run, ",")
+		ids = strings.Split(*runIDs, ",")
 	}
 
 	for _, id := range ids {
 		r, ok := exp.Find(strings.TrimSpace(id))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "gsbench: unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "gsbench: unknown experiment %q (use -list)\n", id)
+			return 2
 		}
-		fmt.Printf("-- %s: %s\n", r.ID, r.Title)
+		fmt.Fprintf(stdout, "-- %s: %s\n", r.ID, r.Title)
 		begin := time.Now()
 		if err := r.Run(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "gsbench: %s failed: %v\n", r.ID, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gsbench: %s failed: %v\n", r.ID, err)
+			return 1
 		}
-		fmt.Printf("-- %s done in %v\n\n", r.ID, time.Since(begin).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "-- %s done in %v\n\n", r.ID, time.Since(begin).Round(time.Millisecond))
 	}
+	return 0
 }

@@ -1,4 +1,13 @@
-package exp
+// Package chaos is a whole-system crash/fault torture harness for the
+// write path (DESIGN.md §15). Each seeded schedule interleaves ingest
+// batches, snapshot flushes, and injected faults (transient write
+// errors, fsync failures, ENOSPC, simulated crashes at the named crash
+// points), then restarts from the on-disk state and verifies the
+// recovery invariant: every acked mutation present exactly, unacked
+// batches absent or whole, fsck clean, no temp litter, and query
+// results bit-identical (PageRank within 1e-9) to a fresh conversion of
+// the reference edge set.
+package chaos
 
 import (
 	"bytes"
@@ -13,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/core"
@@ -21,45 +29,41 @@ import (
 	"github.com/gwu-systems/gstore/internal/faultfs"
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
-	"github.com/gwu-systems/gstore/internal/report"
 	"github.com/gwu-systems/gstore/internal/server"
 	"github.com/gwu-systems/gstore/internal/tile"
 	"github.com/gwu-systems/gstore/internal/wal"
 )
 
-// chaosReport is the CHAOS artifact: a whole-system crash/chaos torture
-// run over the write path. Each seeded schedule interleaves ingest
-// batches, snapshot flushes, and injected faults (transient write
-// errors, fsync failures, ENOSPC, simulated crashes at the named crash
-// points), then restarts from the on-disk state and verifies the
-// recovery invariant: every acked mutation present exactly, unacked
-// batches absent or whole, fsck clean, no temp litter, and query
-// results bit-identical (PageRank within 1e-9) to a fresh conversion of
-// the reference edge set. Findings must be empty.
-type chaosReport struct {
-	Schedules       int      `json:"schedules"`
-	Scale           uint     `json:"scale"`
-	Seed            uint64   `json:"seed"`
-	Batches         int64    `json:"batches"`
-	AckedBatches    int64    `json:"acked_batches"`
-	Mutations       int64    `json:"acked_mutations"`
-	Flushes         int64    `json:"flushes"`
-	Crashes         int      `json:"crashes"`
-	FsyncFailures   int      `json:"fsync_failures"`
-	TransientFaults int      `json:"transient_faults"`
-	NoSpaceFaults   int      `json:"enospc_faults"`
-	WholeUnacked    int      `json:"whole_unacked_batches"`
-	Recoveries      int      `json:"recoveries"`
-	QueriesCompared int      `json:"queries_compared"`
-	ServerScenarios int      `json:"server_scenarios"`
-	Findings        []string `json:"findings"`
-	Sec             float64  `json:"seconds"`
+// The harness graph: small enough that hundreds of schedules (each with
+// its own recovery and fresh reference conversion) stay fast, large
+// enough to span many tiles, WAL rotations and snapshot generations.
+const (
+	scale      = 9
+	edgeFactor = 8
+)
+
+// Report counts what a run exercised. Findings lists every invariant
+// violation — each one a broken durability promise — and must be empty.
+type Report struct {
+	Batches         int64
+	AckedBatches    int64
+	Mutations       int64
+	Flushes         int64
+	Crashes         int
+	FsyncFailures   int
+	TransientFaults int
+	NoSpaceFaults   int
+	WholeUnacked    int
+	Recoveries      int
+	QueriesCompared int
+	ServerScenarios int
+	Findings        []string
 }
 
-// chaosPoints are the named crash points the schedule generator arms.
+// crashPoints are the named crash points the schedule generator arms.
 // tile.convert.before-meta is exercised separately (conversion happens
 // once, before faults arm).
-var chaosPoints = []string{
+var crashPoints = []string{
 	"wal.append.after-write",
 	"wal.rotate.after-sync",
 	"wal.truncate.after-remove",
@@ -70,60 +74,20 @@ var chaosPoints = []string{
 	"delta.flush.after-truncate",
 }
 
-// Chaos runs the torture harness: Quick runs a CI-sized sample, the
-// full run covers ChaosSchedules seeded schedules. A non-empty findings
-// list is an error — every finding is a broken durability promise.
-func Chaos(c *Config) error {
-	schedules := 200
-	if c.Quick {
-		schedules = 25
-	}
-	rep, err := chaosRun(c, schedules)
-	if err != nil {
-		return err
-	}
-	printChaosReport(c.Out, rep)
-	if c.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.BenchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.Out, "wrote %s\n", c.BenchOut)
-	}
-	if len(rep.Findings) > 0 {
-		return fmt.Errorf("chaos: %d invariant violations (first: %s)", len(rep.Findings), rep.Findings[0])
-	}
-	return nil
-}
-
-// chaosRun executes the given number of seeded schedules and the
-// server-level degraded-mode scenario. It is also the entry point of
-// the TestChaosShort CI gate.
-func chaosRun(c *Config, schedules int) (*chaosReport, error) {
-	begin := time.Now()
-	// Correctness harness: small graphs keep hundreds of schedules (each
-	// with its own recovery and fresh reference conversion) fast, while
-	// still spanning many tiles, WAL rotations, and snapshot generations.
-	scale := c.Scale
-	if scale > 9 {
-		scale = 9
-	}
-	ef := c.EdgeFactor
-	if ef > 8 {
-		ef = 8
-	}
-	rep := &chaosReport{Schedules: schedules, Scale: scale, Seed: c.Seed}
-
-	dir, err := tempWorkDir(c, "chaos")
+// Run plays the given number of seeded schedules and the server-level
+// degraded-mode scenario in a fresh directory under dir, removed on
+// return. The same seed and schedule count give the same report. The
+// error reports a harness that could not run; broken invariants land in
+// Report.Findings.
+func Run(dir string, seed uint64, schedules int) (*Report, error) {
+	rep := &Report{}
+	dir, err := os.MkdirTemp(dir, "chaos-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
-	el, err := gen.Generate(gen.Graph500Config(scale, ef, c.Seed))
+	el, err := gen.Generate(gen.Graph500Config(scale, edgeFactor, seed))
 	if err != nil {
 		return nil, err
 	}
@@ -146,12 +110,11 @@ func chaosRun(c *Config, schedules int) (*chaosReport, error) {
 	}
 
 	for i := 0; i < schedules; i++ {
-		runChaosSchedule(c, rep, dir, pristine, topts, el.NumVertices, baseCanon, i)
+		runSchedule(seed, rep, dir, pristine, topts, el.NumVertices, baseCanon, i)
 	}
-	if err := chaosServerScenario(c, rep, dir, el, topts); err != nil {
+	if err := serverScenario(seed, rep, dir, el, topts); err != nil {
 		return nil, err
 	}
-	rep.Sec = time.Since(begin).Seconds()
 	return rep, nil
 }
 
@@ -165,19 +128,19 @@ func splitmix64(x *uint64) uint64 {
 }
 
 const (
-	chaosClean = iota // full run, clean Close, reopen
-	chaosCrash        // simulated crash at a named crash point
-	chaosFsync        // injected fsync failure: sticky degraded mode
-	chaosWrite        // transient write error: rollback, retry succeeds
-	chaosNoSpace      // ENOSPC after a byte budget, then space freed
-	chaosAbandon      // process killed with no fault: pure WAL replay
+	chaosClean   = iota // full run, clean Close, reopen
+	chaosCrash          // simulated crash at a named crash point
+	chaosFsync          // injected fsync failure: sticky degraded mode
+	chaosWrite          // transient write error: rollback, retry succeeds
+	chaosNoSpace        // ENOSPC after a byte budget, then space freed
+	chaosAbandon        // process killed with no fault: pure WAL replay
 	chaosScenarios
 )
 
-// runChaosSchedule plays one seeded schedule and appends any invariant
+// runSchedule plays one seeded schedule and appends any invariant
 // violation to rep.Findings.
-func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts tile.ConvertOptions, nv uint32, baseCanon []graph.Edge, idx int) {
-	state := c.Seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15
+func runSchedule(seed uint64, rep *Report, dir, pristine string, topts tile.ConvertOptions, nv uint32, baseCanon []graph.Edge, idx int) {
+	state := seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15
 	rng := func(n uint64) uint64 { return splitmix64(&state) % n }
 	label := fmt.Sprintf("schedule %d", idx)
 	fail := func(format string, args ...interface{}) {
@@ -195,7 +158,7 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 		fail("open base: %v", err)
 		return
 	}
-	fs := faultfs.New(int64(c.Seed) + int64(idx)*7919)
+	fs := faultfs.New(int64(seed) + int64(idx)*7919)
 	ds, err := delta.Open(tg, base, delta.Options{FS: fs, WALSegmentBytes: 512})
 	if err != nil {
 		tg.Close()
@@ -206,7 +169,7 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 	scenario := int(rng(chaosScenarios))
 	switch scenario {
 	case chaosCrash:
-		pt := chaosPoints[rng(uint64(len(chaosPoints)))]
+		pt := crashPoints[rng(uint64(len(crashPoints)))]
 		fs.Arm(faultfs.Rule{Op: faultfs.OpCrashPoint, PathContains: pt, Crash: true, AfterN: int(1 + rng(3))})
 	case chaosFsync:
 		fs.Arm(faultfs.Rule{Op: faultfs.OpSync, PathContains: ".wal", AfterN: int(1 + rng(10))})
@@ -428,9 +391,9 @@ func runChaosSchedule(c *Config, rep *chaosReport, dir, pristine string, topts t
 	rep.QueriesCompared++
 }
 
-// chaosEngineOpts returns small unthrottled engine options for the
+// engineOpts returns small unthrottled engine options for the
 // correctness comparisons.
-func chaosEngineOpts() core.Options {
+func engineOpts() core.Options {
 	o := core.DefaultOptions()
 	o.Threads = 2
 	o.MemoryBytes = 2 << 20
@@ -443,13 +406,13 @@ func chaosEngineOpts() core.Options {
 // conversion, returning a description of every divergence.
 func compareQueries(tg *tile.Graph, ds *delta.Store, ref *tile.Graph, root uint32, withPPR bool) []string {
 	var findings []string
-	es, err := core.NewEngine(tg, chaosEngineOpts())
+	es, err := core.NewEngine(tg, engineOpts())
 	if err != nil {
 		return []string{fmt.Sprintf("store engine: %v", err)}
 	}
 	defer es.Close()
 	es.SetDeltaStore(ds)
-	er, err := core.NewEngine(ref, chaosEngineOpts())
+	er, err := core.NewEngine(ref, engineOpts())
 	if err != nil {
 		return []string{fmt.Sprintf("reference engine: %v", err)}
 	}
@@ -505,10 +468,10 @@ func compareQueries(tg *tile.Graph, ds *delta.Store, ref *tile.Graph, root uint3
 	return findings
 }
 
-// chaosServerScenario drives the whole stack through degraded mode: a
+// serverScenario drives the whole stack through degraded mode: a
 // server whose WAL fsyncs always fail must reject ingest with 503
 // status="wal_failed", keep serving queries, and fail readiness.
-func chaosServerScenario(c *Config, rep *chaosReport, dir string, el *graph.EdgeList, topts tile.ConvertOptions) error {
+func serverScenario(seed uint64, rep *Report, dir string, el *graph.EdgeList, topts tile.ConvertOptions) error {
 	sdir := filepath.Join(dir, "server")
 	tg, err := tile.Convert(el, sdir, "chaos", topts)
 	if err != nil {
@@ -516,12 +479,12 @@ func chaosServerScenario(c *Config, rep *chaosReport, dir string, el *graph.Edge
 	}
 	tg.Close()
 
-	fs := faultfs.New(int64(c.Seed) ^ 0x5eed)
+	fs := faultfs.New(int64(seed) ^ 0x5eed)
 	fs.Arm(faultfs.Rule{Op: faultfs.OpSync, PathContains: ".wal", Every: true})
 	srv := server.New()
 	srv.DeltaFS = fs
 	defer srv.Close()
-	if err := srv.AddGraph("chaos", tile.BasePath(sdir, "chaos"), chaosEngineOpts()); err != nil {
+	if err := srv.AddGraph("chaos", tile.BasePath(sdir, "chaos"), engineOpts()); err != nil {
 		return err
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -600,31 +563,4 @@ func copyFlatDir(src, dst string) error {
 		}
 	}
 	return nil
-}
-
-func printChaosReport(out io.Writer, rep *chaosReport) {
-	tb := report.New(fmt.Sprintf("chaos: %d seeded crash/fault schedules (scale %d, seed %d)",
-		rep.Schedules, rep.Scale, rep.Seed), "metric", "value")
-	tb.Row("batches applied", rep.Batches)
-	tb.Row("batches acked", rep.AckedBatches)
-	tb.Row("mutations acked", rep.Mutations)
-	tb.Row("snapshot flushes", rep.Flushes)
-	tb.Row("simulated crashes", rep.Crashes)
-	tb.Row("fsync failures (sticky degraded)", rep.FsyncFailures)
-	tb.Row("transient write faults (retried)", rep.TransientFaults)
-	tb.Row("ENOSPC faults (freed + retried)", rep.NoSpaceFaults)
-	tb.Row("in-flight batches recovered whole", rep.WholeUnacked)
-	tb.Row("recoveries verified", rep.Recoveries)
-	tb.Row("query comparisons vs fresh conversion", rep.QueriesCompared)
-	tb.Row("server degraded-mode scenarios", rep.ServerScenarios)
-	tb.Row("invariant violations", len(rep.Findings))
-	tb.Row("elapsed", fmt.Sprintf("%.1fs", rep.Sec))
-	tb.Fprint(out)
-	for i, f := range rep.Findings {
-		if i == 10 {
-			fmt.Fprintf(out, "  ... %d more findings\n", len(rep.Findings)-10)
-			break
-		}
-		fmt.Fprintf(out, "  FINDING: %s\n", f)
-	}
 }

@@ -38,28 +38,10 @@ type Config struct {
 	Seed uint64
 	// Threads for the engines.
 	Threads int
-	// ThreadList is the thread counts swept by the "sweep" runner
-	// (default 1,2,4,8).
-	ThreadList []int
 	// Out receives the report tables.
 	Out io.Writer
 	// Quick shrinks the workloads for smoke runs.
 	Quick bool
-
-	// BenchClients is the closed-loop client count of the "serve"
-	// runner (default 8).
-	BenchClients int
-	// BenchDuration is how long each serving phase runs (default 5s,
-	// quick 2s).
-	BenchDuration time.Duration
-	// Target, when set, points the "serve" runner at a running gstored
-	// (e.g. http://localhost:8080) instead of an in-process server.
-	Target string
-	// BenchOut, when set, receives the "serve" runner's JSON report.
-	BenchOut string
-	// BatchWindow is the coalescing window of the "serve-personal"
-	// runner's fused phase (default 2ms).
-	BatchWindow time.Duration
 }
 
 // Defaults fills unset fields.
@@ -124,13 +106,6 @@ func All() []Runner {
 		{"scc", "Extension: strongly connected components (§IV-A)", ExtSCC},
 		{"msbfs", "Extension: multi-source BFS I/O sharing ([22])", ExtMSBFS},
 		{"relabel", "Extension: degree-sorted vertex relabeling", ExtRelabel},
-		{"sweep", "Extension: thread-count sweep of the chunked dispatcher", ThreadSweep},
-		{"serve", "Extension: closed-loop concurrent serving, serialized vs shared scan", ServeBench},
-		{"serve-personal", "Extension: personalized-query serving, one-root-per-slot vs fused msbfs + cache", ServePersonal},
-		{"ingest", "Extension: WAL-backed ingest then query, delta-merge overhead", IngestBench},
-		{"codec", "Extension: tile codec comparison, v2 fixed-width vs v3 blocks", CodecBench},
-		{"io", "Extension: real-file async I/O backend vs simulator", IOBench},
-		{"chaos", "Robustness: seeded crash/fault schedules, recovery and degraded modes verified", Chaos},
 	}
 }
 
@@ -262,14 +237,6 @@ func (c *Config) diskOpts(tg *tile.Graph) core.Options {
 	// machine, as the paper's terabyte graphs are on its SSD array.
 	o.Bandwidth = 16 << 20 // 16 MB/s per simulated SSD
 	o.Latency = 100 * time.Microsecond
-	return o
-}
-
-// fastOpts returns unthrottled options (for correctness-oriented runs).
-func (c *Config) fastOpts(tg *tile.Graph) core.Options {
-	o := c.diskOpts(tg)
-	o.Bandwidth = 0
-	o.Latency = 0
 	return o
 }
 

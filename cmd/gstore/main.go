@@ -351,7 +351,7 @@ func cmdStats(args []string) error {
 }
 
 func engineFlags(fs *flag.FlagSet) func() core.Options {
-	mem := fs.Int64("memory", 0, "streaming+caching memory in bytes (default graph/4)")
+	mem := fs.Int64("memory", 0, "streaming+caching memory ceiling in bytes (default graph/4; the engine holds min(memory, 2 segments + tile data))")
 	seg := fs.Int64("segment", 0, "segment size in bytes (default memory/8)")
 	threads := fs.Int("threads", 0, "worker threads")
 	chunk := fs.Int64("chunk", 0, "work-item chunk size in bytes (0 = 256KiB default, -1 = whole tiles)")

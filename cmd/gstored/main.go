@@ -65,13 +65,13 @@ func (g *graphFlags) Set(v string) error {
 func main() {
 	var graphs graphFlags
 	listen := flag.String("listen", ":8080", "listen address")
-	mem := flag.Int64("memory", 64<<20, "per-graph streaming+caching memory in bytes")
+	mem := flag.Int64("memory", 64<<20, "per-graph streaming+caching memory ceiling in bytes (the engine holds min(memory, 2 segments + tile data))")
 	seg := flag.Int64("segment", 0, "segment size in bytes (default memory/8)")
 	threads := flag.Int("threads", 0, "worker threads per graph")
 	chunk := flag.Int64("chunk", 0, "work-item chunk size in bytes (0 = 256KiB default, -1 = whole tiles)")
 	maxRuns := flag.Int("maxruns", 8, "concurrent algorithm runs co-scheduled per graph (1-64)")
 	queueLen := flag.Int("queue", 64, "runs queued per graph beyond -maxruns before 429s")
-	qcacheBytes := flag.Int64("qcache-bytes", 64<<20, "personalized-query result cache budget in bytes (0 disables)")
+	qcacheBytes := flag.Int64("qcache-bytes", 64<<20, "personalized-query result cache budget in bytes, charged per entry at its declared summary size (0 disables)")
 	qcacheTTL := flag.Duration("qcache-ttl", time.Minute, "result cache entry TTL")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a GET bfs root that finds the engine busy waits for company to fuse into one msbfs run (an idle engine runs it at once; 0 disables)")
 	tenantMax := flag.Int("tenant-maxruns", 0, "max concurrent runs per ?tenant= label (0 = unlimited)")

@@ -293,7 +293,8 @@ type workerStat struct {
 }
 
 // NewEngine creates an engine over g. The engine owns a storage array on
-// the graph's tiles file and a memory manager sized by opts; Close
+// the graph's tiles file and a memory manager sized by opts, capped at
+// what g can use: min(MemoryBytes, two segments + g.DataBytes()). Close
 // releases both.
 func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 	if err := opts.normalize(); err != nil {
@@ -315,6 +316,17 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 				maxTile, opts.MemoryBytes)
 		}
 		opts.SegmentSize = maxTile
+	}
+	// The budget is a ceiling, not an allocation: memory the graph cannot
+	// use is never reserved. A fetched tile is never pooled already and
+	// Retire skips tiles that are, so pool use cannot exceed DataBytes; and
+	// a segment of DataBytes (never smaller than the largest tile) already
+	// plans the whole graph as one segment. Neither cap changes what a run
+	// reads, caches or evicts.
+	if data := g.DataBytes(); data > 0 {
+		pool := min(opts.MemoryBytes-2*opts.SegmentSize, data)
+		opts.SegmentSize = min(opts.SegmentSize, data)
+		opts.MemoryBytes = 2*opts.SegmentSize + pool
 	}
 	var array storage.Device
 	var err error

@@ -238,6 +238,49 @@ func TestEngineSegmentTooSmall(t *testing.T) {
 	e.Close()
 }
 
+// A budget far above the graph is a ceiling, not an allocation: on a
+// kron-12 graph (256 KiB of tiles) the default 64 MiB budget yields a pool
+// and segments of the graph's size, and a BFS → PageRank → BFS sequence
+// fetches, caches, reads, copies and evicts exactly what it did when the
+// engine reserved the whole budget (the counts were recorded with a
+// 48 MiB pool and 8 MiB segments, under both retention policies).
+func TestEngineSizesMemoryToGraph(t *testing.T) {
+	g := convert(t, kron(t, 12, 16, 3), 6, 4)
+	type counts struct {
+		fetched, fromCache, bytes, requests, copied, evicted int64
+	}
+	want := []counts{
+		{1651, 672, 262144, 32, 262144, 0},
+		{1651, 6604, 262144, 1, 524288, 0},
+		{1651, 1099, 262144, 448, 786432, 0},
+	}
+	for _, policy := range []CachePolicy{CacheProactive, CacheLRU} {
+		opts := DefaultOptions()
+		opts.Threads = 2
+		opts.Cache = policy
+		e, err := NewEngine(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if data := g.DataBytes(); e.mm.PoolCap() != data || e.mm.SegmentSize() != data {
+			t.Fatalf("%v: pool %d, segments %d; want both capped at the graph's %d tile bytes",
+				policy, e.mm.PoolCap(), e.mm.SegmentSize(), data)
+		}
+		for i, a := range []algo.Algorithm{algo.NewBFS(0), algo.NewPageRank(5), algo.NewBFS(77)} {
+			st, err := e.Run(context.Background(), a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := counts{st.TilesFetched, st.TilesFromCache, st.BytesRead, st.IORequests,
+				st.Mem.CopiedBytes, st.Mem.EvictedTiles}
+			if got != want[i] {
+				t.Fatalf("%v run %d (%s): %+v, want %+v", policy, i, a.Name(), got, want[i])
+			}
+		}
+	}
+}
+
 func TestEngineReadFailure(t *testing.T) {
 	el := kron(t, 9, 4, 8)
 	g := convert(t, el, 5, 2)

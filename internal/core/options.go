@@ -60,10 +60,12 @@ func (p CachePolicy) String() string {
 type Options struct {
 	// MemoryBytes is the memory budget for streaming and caching graph
 	// data (the paper reserves 8 GB; experiments here scale it to the
-	// graph).
+	// graph). It is a ceiling: NewEngine caps the cache pool and each
+	// segment at the graph's tile bytes, so a small graph under a large
+	// budget holds min(MemoryBytes, 2 segments + tile data).
 	MemoryBytes int64
 	// SegmentSize is the size of each of the two streaming segments
-	// (paper: 256 MB).
+	// (paper: 256 MB), capped like MemoryBytes.
 	SegmentSize int64
 	// Threads processes tiles concurrently (paper: OpenMP dynamic
 	// scheduling over rows). Defaults to GOMAXPROCS.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -149,11 +150,8 @@ func (s *Scheduler) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 		case <-ctx.Done():
 			s.mu.Lock()
 			if !qr.admitted {
-				for i, q := range s.queue {
-					if q == qr {
-						s.queue = append(s.queue[:i], s.queue[i+1:]...)
-						break
-					}
+				if i := slices.Index(s.queue, qr); i >= 0 {
+					s.queue = slices.Delete(s.queue, i, i+1) // zeroes the vacated tail slot
 				}
 				s.mu.Unlock()
 				r.stats.QueueWait = time.Since(qr.enqueued)
@@ -222,7 +220,9 @@ func (s *Scheduler) sweepLoop() {
 		// Join barrier: release the runs the last step finished (each
 		// frees a slot for the queue head), then absorb everything
 		// admitted since. New runs enter only here, so each sees complete
-		// iterations and results match solo execution.
+		// iterations and results match solo execution. Neither slice's
+		// spare capacity may keep a finished run — and its kernel's
+		// vectors — reachable after its caller has returned.
 		s.mu.Lock()
 		live := batch[:0]
 		for _, r := range batch {
@@ -232,7 +232,9 @@ func (s *Scheduler) sweepLoop() {
 				live = append(live, r)
 			}
 		}
+		clear(batch[len(live):])
 		batch = append(live, s.pending...)
+		clear(s.pending)
 		s.pending = s.pending[:0]
 		if len(batch) == 0 {
 			s.sweeping = false
@@ -258,6 +260,7 @@ func (s *Scheduler) releaseLocked(r *runState) {
 	s.active--
 	for s.active < s.maxRuns && len(s.queue) > 0 {
 		qr := s.queue[0]
+		s.queue[0] = nil // the backing array outlives the pop
 		s.queue = s.queue[1:]
 		qr.admitted = true
 		qr.r.stats.QueueWait = time.Since(qr.enqueued)

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -611,4 +613,159 @@ func TestSchedulerRiderCancelAndClose(t *testing.T) {
 	if _, err := s.Run(context.Background(), algo.NewWCC()); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("run after Close err = %v, want ErrSchedulerClosed", err)
 	}
+}
+
+// waitFinalized collects garbage until n finalizers have run, failing
+// after a few seconds: a kernel whose finalizer never runs is still
+// reachable from something its run left behind.
+func waitFinalized(t *testing.T, freed *atomic.Int64, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d finished kernels still reachable after their runs returned", n-freed.Load(), n)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A run that has returned must not stay reachable from the scheduler —
+// not from the admission queue's backing array, the pending list or the
+// sweep batch's spare capacity — or every finished query keeps its
+// kernel's per-vertex vectors alive until some later run happens to
+// overwrite the slot. Each case puts a finalizer on every kernel it
+// submits and requires all of them to run once the runs are back:
+// concurrent PPRs at MaxConcurrentRuns 8 (16 of them queue), the same
+// beside a long run that keeps the sweep loop alive, a queued run
+// canceled ahead of another, and a coalesced RunPersonalBFS window.
+func TestSchedulerReleasesFinishedRuns(t *testing.T) {
+	el := kron(t, 12, 16, 3)
+	g := convert(t, el, 6, 4)
+	opts := smallOpts()
+	opts.Threads = 2
+	opts.MaxConcurrentRuns = 8
+	opts.MaxQueuedRuns = 64
+
+	// submit runs n PPRs at once, each kernel finalized into freed.
+	submit := func(t *testing.T, s *Scheduler, n int, freed *atomic.Int64) {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			a := algo.NewPPR(uint32(i*97), 3)
+			runtime.SetFinalizer(a, func(*algo.PPR) { freed.Add(1) })
+			wg.Add(1)
+			go func(a algo.Algorithm) {
+				defer wg.Done()
+				<-start
+				if _, err := s.Run(context.Background(), a); err != nil {
+					t.Error(err)
+				}
+			}(a)
+		}
+		close(start)
+		wg.Wait()
+	}
+
+	for _, runs := range []int{1, 4, 16} {
+		t.Run(strconv.Itoa(runs), func(t *testing.T) {
+			_, s := newSched(t, g, opts)
+			var freed atomic.Int64
+			submit(t, s, runs, &freed)
+			waitFinalized(t, &freed, int64(runs))
+		})
+	}
+
+	t.Run("16-beside-a-live-run", func(t *testing.T) {
+		_, s := newSched(t, g, opts)
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel) // before s.Close, which waits for the sweep to drain
+		longErr := make(chan error, 1)
+		go func() {
+			_, err := s.Run(ctx, algo.NewPageRank(1<<20))
+			longErr <- err
+		}()
+		waitActive(t, s, 1)
+		var freed atomic.Int64
+		submit(t, s, 16, &freed)
+		waitFinalized(t, &freed, 16)
+		cancel()
+		if err := <-longErr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("long run err = %v, want context.Canceled", err)
+		}
+	})
+
+	t.Run("queued-then-canceled", func(t *testing.T) {
+		o := opts
+		o.MaxConcurrentRuns = 1
+		_, s := newSched(t, g, o)
+		blocker := newGated(algo.NewPageRank(2))
+		blockErr := make(chan error, 1)
+		go func() {
+			_, err := s.Run(context.Background(), blocker)
+			blockErr <- err
+		}()
+		<-blocker.entered
+
+		var freed atomic.Int64
+		qctx, qcancel := context.WithCancel(context.Background())
+		errs := make(chan error, 2)
+		for i, ctx := range []context.Context{qctx, context.Background()} {
+			a := algo.NewPPR(5, 3)
+			runtime.SetFinalizer(a, func(*algo.PPR) { freed.Add(1) })
+			go func(ctx context.Context, a algo.Algorithm) {
+				_, err := s.Run(ctx, a)
+				errs <- err
+			}(ctx, a)
+			for s.QueueDepth() < i+1 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		qcancel() // the first queued run leaves the queue ahead of the second
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled queued run err = %v, want context.Canceled", err)
+		}
+		close(blocker.release)
+		if err := <-blockErr; err != nil {
+			t.Fatalf("blocking run: %v", err)
+		}
+		if err := <-errs; err != nil {
+			t.Fatalf("second queued run: %v", err)
+		}
+		waitFinalized(t, &freed, 2)
+	})
+
+	t.Run("personal-coalesced", func(t *testing.T) {
+		o := opts
+		o.BatchWindow = 200 * time.Millisecond
+		_, s := newSched(t, g, o)
+		release := occupy(t, s)
+
+		// The first root opens the window alone, so it holds slot 0, whose
+		// depth vector starts the msbfs kernel's depth matrix: that vector
+		// is unreachable only once the kernel is.
+		roots := []uint32{0, 7, 99, 512, 1000}
+		first := make(chan []int32, 1)
+		var wg sync.WaitGroup
+		for i, r := range roots {
+			wg.Add(1)
+			go func(i int, r uint32) {
+				defer wg.Done()
+				d, st, err := s.RunPersonalBFS(context.Background(), r)
+				if err != nil || st.BatchedRoots != len(roots) {
+					t.Errorf("root %d: %v (batched roots %v)", r, err, st)
+				}
+				if i == 0 {
+					first <- d
+				}
+			}(i, r)
+			waitParked(t, s, i+1)
+		}
+		release()
+		wg.Wait()
+
+		var freed atomic.Int64
+		runtime.SetFinalizer(&(<-first)[0], func(*int32) { freed.Add(1) })
+		waitFinalized(t, &freed, 1)
+	})
 }

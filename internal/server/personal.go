@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"github.com/gwu-systems/gstore/internal/algo"
@@ -239,8 +238,12 @@ func (s *Server) personalBFS(w http.ResponseWriter, r *http.Request, h *GraphHan
 
 // personalPPR answers one personalized PageRank query. PPR runs as a
 // normal (non-coalesced) run on the shared sweep; the cache and
-// single-flight dedup carry the serving load for repeated roots.
+// single-flight dedup carry the serving load for repeated roots. The
+// cached reply holds only the top list, never the rank vector, so it
+// costs what it declares. top is clamped to the vertex count before it
+// keys or sizes anything.
 func (s *Server) personalPPR(w http.ResponseWriter, r *http.Request, h *GraphHandle, root uint32, iters, top int, tenant string) {
+	top = min(top, int(h.Graph.Meta.NumVertices))
 	fill := func() (interface{}, int64, error) {
 		release, err := s.acquireTenant(h, "ppr", tenant)
 		if err != nil {
@@ -252,23 +255,8 @@ func (s *Server) personalPPR(w http.ResponseWriter, r *http.Request, h *GraphHan
 		if err != nil {
 			return nil, 0, err
 		}
-		type vr struct {
-			Vertex uint32  `json:"vertex"`
-			Rank   float64 `json:"rank"`
-		}
-		ranks := a.Ranks()
-		out := make([]vr, 0, len(ranks))
-		for v, rank := range ranks {
-			if rank > 0 {
-				out = append(out, vr{uint32(v), rank})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Rank > out[j].Rank })
-		if len(out) > top {
-			out = out[:top]
-		}
 		return map[string]interface{}{
-			"root": root, "iterations": iters, "top": out,
+			"root": root, "iterations": iters, "top": topRanks(a.Ranks(), top, true),
 			"stats": toStats(st),
 		}, personalEntryCost + int64(top)*16, nil
 	}

@@ -923,21 +923,8 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request, h *Graph
 		writeRunError(w, err)
 		return
 	}
-	type vr struct {
-		Vertex uint32  `json:"vertex"`
-		Rank   float64 `json:"rank"`
-	}
-	ranks := a.Ranks()
-	top := make([]vr, 0, len(ranks))
-	for v, rank := range ranks {
-		top = append(top, vr{uint32(v), rank})
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].Rank > top[j].Rank })
-	if len(top) > req.Top {
-		top = top[:req.Top]
-	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"top": top, "stats": toStats(st),
+		"top": topRanks(a.Ranks(), req.Top, false), "stats": toStats(st),
 	})
 }
 

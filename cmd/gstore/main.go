@@ -93,21 +93,21 @@ func cmdConvert(args []string) error {
 	tileBits := fs.Uint("tilebits", 16, "log2 tile width")
 	groupQ := fs.Uint("groupq", 256, "physical group width in tiles")
 	noSym := fs.Bool("nosymmetry", false, "disable the symmetry (half) storage")
-	noSNB := fs.Bool("nosnb", false, "disable the SNB tuple encoding")
-	codec := fs.String("codec", "", "tuple codec: snb, raw, or v3 (overrides -nosnb)")
+	codec := fs.String("codec", "", "tuple codec: snb (default), raw, or v3")
 	fs.Parse(args)
 	if *in == "" || *name == "" || *vertices == 0 {
 		return fmt.Errorf("convert: -in, -name and -vertices are required")
 	}
-	opts := tile.ConvertOptions{
+	// The input streams from disk twice with a 256 MiB staging budget, so
+	// it may be larger than memory.
+	opts := tile.ExternalConvertOptions{ConvertOptions: tile.ConvertOptions{
 		TileBits: *tileBits,
 		GroupQ:   uint32(*groupQ),
 		Symmetry: !*noSym,
-		SNB:      !*noSNB,
 		Codec:    *codec,
 		Degrees:  true,
-	}
-	g, err := tile.ConvertEdgeListFile(*in, uint32(*vertices), *directed, *dir, *name, opts)
+	}}
+	g, err := tile.ConvertExternal(*in, uint32(*vertices), *directed, *dir, *name, opts)
 	if err != nil {
 		return err
 	}

@@ -112,11 +112,14 @@ type GraphStats = tile.Stats
 // CollectStats computes occupancy statistics from the start-edge index.
 func CollectStats(g *Graph) GraphStats { return tile.CollectStats(g) }
 
-// ConvertExternalOptions configures the out-of-core converter.
+// ConvertExternalOptions adds ConvertExternal's staging budget to
+// ConvertOptions.
 type ConvertExternalOptions = tile.ExternalConvertOptions
 
 // ConvertExternal converts a binary edge-list file (8 bytes per edge)
-// without materializing it in memory, for inputs larger than RAM.
+// without materializing it in memory, for inputs larger than RAM. It is
+// the same conversion as Convert; staging beyond the budget spills to
+// disk.
 func ConvertExternal(edgePath string, numVertices uint32, directed bool,
 	dir, name string, opts ConvertExternalOptions) (*Graph, error) {
 	return tile.ConvertExternal(edgePath, numVertices, directed, dir, name, opts)

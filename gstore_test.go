@@ -373,7 +373,6 @@ func TestFacadeConvertExternal(t *testing.T) {
 	opts.TileBits = 5
 	opts.GroupQ = 2
 	opts.Symmetry = true
-	opts.SNB = true
 	opts.Degrees = true
 	opts.MemoryBudget = 1 << 16
 	g, err := gstore.ConvertExternal(edgePath, edges.NumVertices, false, dir, "ext", opts)

@@ -139,7 +139,7 @@ func (mg *memGraph) run(t *testing.T, a Algorithm, parallel bool, maxIter int) i
 }
 
 func defaultOpts() tile.ConvertOptions {
-	return tile.ConvertOptions{TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true}
+	return tile.ConvertOptions{TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true}
 }
 
 func kronEL(t testing.TB, scale uint, ef int, seed uint64) *graph.EdgeList {
@@ -188,7 +188,7 @@ func TestBFSDirected(t *testing.T) {
 func TestBFSWithoutSNB(t *testing.T) {
 	el := kronEL(t, 8, 8, 3)
 	opts := defaultOpts()
-	opts.SNB = false
+	opts.Codec = "raw"
 	mg := load(t, el, opts)
 	b := NewBFS(0)
 	mg.run(t, b, false, 1000)
@@ -218,7 +218,7 @@ func TestBFSSelectiveSkipsTiles(t *testing.T) {
 	for v := uint32(0); v+1 < n; v++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: v, Dst: v + 1})
 	}
-	mg := load(t, el, tile.ConvertOptions{TileBits: 4, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true})
+	mg := load(t, el, tile.ConvertOptions{TileBits: 4, GroupQ: 2, Symmetry: true, Degrees: true})
 	b := NewBFS(0)
 	if err := b.Init(mg.ctx); err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestWCCDirectedIsWeak(t *testing.T) {
 	// Directed chain a->b<-c: weakly one component.
 	el := &graph.EdgeList{NumVertices: 3, Directed: true,
 		Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}}}
-	mg := load(t, el, tile.ConvertOptions{TileBits: 1, GroupQ: 1, SNB: true, Degrees: true})
+	mg := load(t, el, tile.ConvertOptions{TileBits: 1, GroupQ: 1, Degrees: true})
 	w := NewWCC()
 	mg.run(t, w, false, 100)
 	for v, l := range w.Labels() {

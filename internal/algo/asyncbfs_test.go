@@ -48,7 +48,7 @@ func TestAsyncBFSFewerIterations(t *testing.T) {
 	for v := uint32(0); v+1 < n; v++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: v, Dst: v + 1})
 	}
-	mg := load(t, el, tile.ConvertOptions{TileBits: 4, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true})
+	mg := load(t, el, tile.ConvertOptions{TileBits: 4, GroupQ: 2, Symmetry: true, Degrees: true})
 
 	sync := NewBFS(0)
 	syncIters := mg.run(t, sync, false, 10000)

@@ -11,7 +11,7 @@ import (
 // single self loop, a single edge, and a star.
 
 func tinyOpts() tile.ConvertOptions {
-	return tile.ConvertOptions{TileBits: 1, GroupQ: 1, Symmetry: true, SNB: true, Degrees: true}
+	return tile.ConvertOptions{TileBits: 1, GroupQ: 1, Symmetry: true, Degrees: true}
 }
 
 func runAll(t *testing.T, el *graph.EdgeList, opts tile.ConvertOptions) (*BFS, *PageRank, *WCC) {
@@ -72,7 +72,7 @@ func TestStarGraph(t *testing.T) {
 	for v := uint32(1); v < 32; v++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: 0, Dst: v})
 	}
-	opts := tile.ConvertOptions{TileBits: 3, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true}
+	opts := tile.ConvertOptions{TileBits: 3, GroupQ: 2, Symmetry: true, Degrees: true}
 	b, p, w := runAll(t, el, opts)
 	for v := 1; v < 32; v++ {
 		if b.Depths()[v] != 1 {
@@ -96,7 +96,7 @@ func TestDisconnectedRootComponent(t *testing.T) {
 		{Src: 0, Dst: 1},
 		{Src: 40, Dst: 41}, {Src: 41, Dst: 42},
 	}}
-	opts := tile.ConvertOptions{TileBits: 3, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true}
+	opts := tile.ConvertOptions{TileBits: 3, GroupQ: 2, Symmetry: true, Degrees: true}
 	mg := load(t, el, opts)
 	b := NewBFS(0)
 	iters := mg.run(t, b, false, 100)

@@ -11,7 +11,7 @@ import (
 )
 
 func sccOpts() tile.ConvertOptions {
-	return tile.ConvertOptions{TileBits: 5, GroupQ: 2, SNB: true, Degrees: true}
+	return tile.ConvertOptions{TileBits: 5, GroupQ: 2, Degrees: true}
 }
 
 func runSCC(t *testing.T, el *graph.EdgeList) []uint32 {

@@ -91,7 +91,7 @@ func Run(dir string, seed uint64, schedules int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	topts := tile.ConvertOptions{TileBits: scale - 4, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true}
+	topts := tile.ConvertOptions{TileBits: scale - 4, GroupQ: 2, Symmetry: true, Degrees: true}
 	pristine := filepath.Join(dir, "pristine")
 	if err := os.MkdirAll(pristine, 0o755); err != nil {
 		return nil, err

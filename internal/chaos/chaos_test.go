@@ -118,7 +118,7 @@ func openPair(t *testing.T) (*tile.Graph, *delta.Store, *tile.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topts := tile.ConvertOptions{TileBits: scale - 4, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true}
+	topts := tile.ConvertOptions{TileBits: scale - 4, GroupQ: 2, Symmetry: true, Degrees: true}
 	sdir, rdir := t.TempDir(), t.TempDir()
 	tg, err := tile.Convert(el, sdir, "chaos", topts)
 	if err != nil {

@@ -36,7 +36,7 @@ func allocBenchGraph(b *testing.B) *tile.Graph {
 			return
 		}
 		benchGraphOnce.g, benchGraphOnce.err = tile.Convert(el, dir, "ab", tile.ConvertOptions{
-			TileBits: 6, GroupQ: 4, Symmetry: true, SNB: true, Degrees: true,
+			TileBits: 6, GroupQ: 4, Symmetry: true, Degrees: true,
 		})
 	})
 	if benchGraphOnce.err != nil {

@@ -16,7 +16,7 @@ import (
 func convert(t *testing.T, el *graph.EdgeList, bits uint, q uint32) *tile.Graph {
 	t.Helper()
 	g, err := tile.Convert(el, t.TempDir(), "g", tile.ConvertOptions{
-		TileBits: bits, GroupQ: q, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: bits, GroupQ: q, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestEngineDirectedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, err := tile.Convert(el, t.TempDir(), "d", tile.ConvertOptions{
-		TileBits: 6, GroupQ: 4, SNB: true, Degrees: true,
+		TileBits: 6, GroupQ: 4, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func TestEngineSCCRun(t *testing.T) {
 func convertDirected(t *testing.T, el *graph.EdgeList) (*tile.Graph, error) {
 	t.Helper()
 	g, err := tile.Convert(el, t.TempDir(), "d", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Degrees: true,
 	})
 	if err == nil {
 		t.Cleanup(func() { g.Close() })

@@ -496,23 +496,6 @@ func (e *BadOpError) Error() string {
 		e.Op.Src, e.Op.Dst, e.NumVertices)
 }
 
-// storedTuples expands one logical mutation into the stored tuples it
-// touches, mirroring the converter's forEachStored: half layouts store
-// the canonical (min, max) direction once; full undirected layouts
-// store both directions (self loops once); directed graphs store the
-// edge as given.
-func (s *Store) storedTuples(op Op, visit func(di int, src, dst uint32)) {
-	layout := s.g.Layout
-	src, dst := op.Src, op.Dst
-	if layout.Half && src > dst {
-		src, dst = dst, src
-	}
-	visit(layout.DiskIndex(layout.TileOf(src), layout.TileOf(dst)), src, dst)
-	if !s.g.Meta.Directed && !layout.Half && src != dst {
-		visit(layout.DiskIndex(layout.TileOf(dst), layout.TileOf(src)), dst, src)
-	}
-}
-
 // applyToView produces a new view with ops applied on top of cur
 // (copy-on-write: untouched tiles are shared). changed counts stored
 // tuples whose effective count changed.
@@ -533,9 +516,10 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 
 	// First pass: find tuple keys entering the delta for the first time;
 	// their base multiplicity has to be counted from the base tile.
+	layout, directed := s.g.Layout, s.g.Meta.Directed
 	newKeys := make(map[int]map[uint64]uint32) // di -> key -> base count
 	for _, op := range ops {
-		s.storedTuples(op, func(di int, src, dst uint32) {
+		layout.EachStored(op.Src, op.Dst, directed, func(di int, src, dst uint32) {
 			if td := next.tiles[di]; td != nil {
 				if _, ok := td.state[key(src, dst)]; ok {
 					return
@@ -578,7 +562,7 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 	widthMask := s.g.Layout.TileWidth() - 1
 	for _, op := range ops {
 		del := op.Del
-		s.storedTuples(op, func(di int, src, dst uint32) {
+		layout.EachStored(op.Src, op.Dst, directed, func(di int, src, dst uint32) {
 			td := next.tiles[di]
 			if td == nil {
 				td = &TileDelta{state: make(map[uint64]bool)}

@@ -18,7 +18,7 @@ func convert(t *testing.T, el *graph.EdgeList, name string) (*tile.Graph, string
 		el.Canonicalize()
 	}
 	g, err := tile.Convert(el, dir, name, tile.ConvertOptions{
-		TileBits: 2, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 2, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestDirectedStore(t *testing.T) {
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "dir", tile.ConvertOptions{
-		TileBits: 2, GroupQ: 2, SNB: true, Degrees: true,
+		TileBits: 2, GroupQ: 2, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -193,7 +193,7 @@ func (c *Config) tileBits() uint {
 // stdTileOpts returns conversion options with the experiment-scale tile
 // width and grouping (filled in by tileGraph).
 func (c *Config) stdTileOpts() tile.ConvertOptions {
-	return tile.ConvertOptions{Symmetry: true, SNB: true, Degrees: true}
+	return tile.ConvertOptions{Symmetry: true, Degrees: true}
 }
 
 // tileGraph generates, converts and caches a tiled graph under

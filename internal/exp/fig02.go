@@ -106,7 +106,7 @@ func inMemoryPageRankTime(c *Config, el *graph.EdgeList, bits uint, q uint32) (t
 		return 0, err
 	}
 	tg, err := tile.Convert(el, dir, "mem", tile.ConvertOptions{
-		TileBits: bits, GroupQ: q, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: bits, GroupQ: q, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		return 0, err

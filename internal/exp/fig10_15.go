@@ -23,9 +23,9 @@ func Fig10(c *Config) error {
 		label string
 		opts  tile.ConvertOptions
 	}{
-		{"base", tile.ConvertOptions{Degrees: true}},
-		{"symmetry", tile.ConvertOptions{Symmetry: true, Degrees: true}},
-		{"symmetry+SNB", tile.ConvertOptions{Symmetry: true, SNB: true, Degrees: true}},
+		{"base", tile.ConvertOptions{Codec: "raw", Degrees: true}},
+		{"symmetry", tile.ConvertOptions{Symmetry: true, Codec: "raw", Degrees: true}},
+		{"symmetry+SNB", tile.ConvertOptions{Symmetry: true, Degrees: true}},
 	}
 	type res struct {
 		label    string
@@ -105,7 +105,7 @@ func Fig11(c *Config) error {
 			return err
 		}
 		tg, err := tile.Convert(el, dir, "g", tile.ConvertOptions{
-			TileBits: bits, GroupQ: q, Symmetry: true, SNB: true, Degrees: true,
+			TileBits: bits, GroupQ: q, Symmetry: true, Degrees: true,
 		})
 		if err != nil {
 			return err
@@ -161,7 +161,7 @@ func Fig12(c *Config) error {
 			return err
 		}
 		tg, err := tile.Convert(el, dir, "g", tile.ConvertOptions{
-			TileBits: bits, GroupQ: q, Symmetry: true, SNB: true, Degrees: true,
+			TileBits: bits, GroupQ: q, Symmetry: true, Degrees: true,
 		})
 		if err != nil {
 			return err

@@ -69,16 +69,6 @@ func ReadEdgeList(r io.Reader, numVertices uint32, directed bool) (*EdgeList, er
 	return el, nil
 }
 
-// ReadEdgeListFile reads the binary edge list at path.
-func ReadEdgeListFile(path string, numVertices uint32, directed bool) (*EdgeList, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadEdgeList(f, numVertices, directed)
-}
-
 // EdgeListSizeBytes reports the on-disk size of the traditional edge list
 // representation (Table II accounting): |E| tuples of 8 bytes, where an
 // undirected graph stores every edge twice.

@@ -183,6 +183,23 @@ func (l *Layout) StoredCoord(row, col uint32) Coord {
 	return Coord{row, col}
 }
 
+// EachStored visits the stored tuple(s) that edge (s, d) becomes, with
+// the disk index of the tile holding each. A half layout stores the
+// canonical (min, max) direction once; a full layout of an undirected
+// graph stores both directions (self loops once), the traditional
+// duplicated representation; a directed graph stores the edge as given.
+// The converter and the delta layer both map edges through it, so a
+// mutation lands on exactly the tuples conversion wrote.
+func (l *Layout) EachStored(s, d uint32, directed bool, visit func(di int, src, dst uint32)) {
+	if l.Half && s > d {
+		s, d = d, s
+	}
+	visit(l.DiskIndex(l.TileOf(s), l.TileOf(d)), s, d)
+	if !directed && !l.Half && s != d {
+		visit(l.DiskIndex(l.TileOf(d), l.TileOf(s)), d, s)
+	}
+}
+
 // VertexRange returns the half-open vertex range [lo, hi) covered along
 // one axis by tile index t (row or column).
 func (l *Layout) VertexRange(t uint32) (lo, hi uint32) {

@@ -172,6 +172,47 @@ func TestQClamping(t *testing.T) {
 	}
 }
 
+func TestEachStored(t *testing.T) {
+	half, err := New(8, 2, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := New(8, 2, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tuple struct {
+		di       int
+		src, dst uint32
+	}
+	cases := []struct {
+		name     string
+		l        *Layout
+		directed bool
+		s, d     uint32
+		want     []tuple
+	}{
+		{"half canonicalizes", half, false, 5, 1, []tuple{{half.DiskIndex(0, 1), 1, 5}}},
+		{"full mirrors", full, false, 5, 1, []tuple{{full.DiskIndex(1, 0), 5, 1}, {full.DiskIndex(0, 1), 1, 5}}},
+		{"full self loop once", full, false, 3, 3, []tuple{{full.DiskIndex(0, 0), 3, 3}}},
+		{"directed as given", full, true, 5, 1, []tuple{{full.DiskIndex(1, 0), 5, 1}}},
+	}
+	for _, c := range cases {
+		var got []tuple
+		c.l.EachStored(c.s, c.d, c.directed, func(di int, src, dst uint32) {
+			got = append(got, tuple{di, src, dst})
+		})
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: got %v, want %v", c.name, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("%s: got %v, want %v", c.name, got, c.want)
+			}
+		}
+	}
+}
+
 // Property: DiskIndex and CoordAt are inverse bijections over stored
 // tiles, for any layout shape.
 func TestQuickIndexBijection(t *testing.T) {

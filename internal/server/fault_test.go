@@ -112,7 +112,7 @@ func faultServer(t *testing.T, fs faultfs.FS) (*Server, *httptest.Server) {
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "kron", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,7 @@ func TestEdgesReadOnlyServer(t *testing.T) {
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "ro", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func kron12Server(tb testing.TB, qcacheBytes int64) *Server {
 	}
 	dir := tb.TempDir()
 	g, err := tile.Convert(el, dir, "kron", tile.ConvertOptions{
-		TileBits: 6, GroupQ: 4, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 6, GroupQ: 4, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		tb.Fatal(err)

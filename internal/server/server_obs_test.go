@@ -29,7 +29,7 @@ func addGraph(t *testing.T, s *Server, name string, opts core.Options) {
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, name, tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func personalTestServer(t *testing.T, window time.Duration, tenantMax int) (*Ser
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "kron", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func schedTestServer(t *testing.T, maxRuns, maxQueue int) (*Server, *httptest.Se
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "kron", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "kron", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	gd, err := tile.Convert(eld, dir, "web", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestDuplicateGraphRejected(t *testing.T) {
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "dup", tile.ConvertOptions{
-		TileBits: 4, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 4, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestIntegrityErrorSurfacesAs500(t *testing.T) {
 	}
 	dir := t.TempDir()
 	g, err := tile.Convert(el, dir, "kron", tile.ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -115,26 +115,6 @@ func decodeTileCRCs(data []byte, numTiles int) ([]uint32, error) {
 	return crcs, nil
 }
 
-// tileChecksums computes the per-tile CRC32C array over in-memory tiles
-// data described by the start-edge prefix sums.
-func tileChecksums(data []byte, start []int64, tupleBytes int64) []uint32 {
-	crcs := make([]uint32, len(start)-1)
-	for i := range crcs {
-		crcs[i] = Checksum(data[start[i]*tupleBytes : start[i+1]*tupleBytes])
-	}
-	return crcs
-}
-
-// tileChecksumsAt is the variable-width variant: tile extents come from
-// byte-offset prefix sums (v3 graphs) instead of tuple counts.
-func tileChecksumsAt(data []byte, byteOff []int64) []uint32 {
-	crcs := make([]uint32, len(byteOff)-1)
-	for i := range crcs {
-		crcs[i] = Checksum(data[byteOff[i]:byteOff[i+1]])
-	}
-	return crcs
-}
-
 // Meta trailer: the last line of a v2 meta file is "#crc32c:XXXXXXXX",
 // the digest of every preceding byte. v1 metas have no trailer.
 

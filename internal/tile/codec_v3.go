@@ -3,7 +3,7 @@ package tile
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Codec names a tuple encoding for tile data. Raw and SNB are the
@@ -111,8 +111,8 @@ func V3Key(srcOff, dstOff uint32, bits uint) uint32 {
 // with the same bits) into the v3 block format, appending to dst. keys is
 // sorted in place if not already sorted; duplicates are preserved.
 func AppendV3(dst []byte, keys []uint32, bits uint) []byte {
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	if !slices.IsSorted(keys) {
+		slices.Sort(keys)
 	}
 	mask := uint32(1)<<bits - 1
 	var payload []byte

@@ -80,8 +80,8 @@ func TestV1HeaderRejectedWithReconvertHint(t *testing.T) {
 	}
 }
 
-// The out-of-core converter's incremental checksums must agree with the
-// in-memory converter's: its output passes a full fsck.
+// Checksums computed bucket by bucket must agree with the files: a
+// spilling conversion passes a full fsck.
 func TestConvertExternalFsck(t *testing.T) {
 	el, err := gen.Generate(gen.Graph500Config(10, 8, 83))
 	if err != nil {

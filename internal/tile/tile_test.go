@@ -24,7 +24,7 @@ func paperGraph() *graph.EdgeList {
 }
 
 func testOpts(bits uint, q uint32) ConvertOptions {
-	return ConvertOptions{TileBits: bits, GroupQ: q, Symmetry: true, SNB: true, Degrees: true}
+	return ConvertOptions{TileBits: bits, GroupQ: q, Symmetry: true, Degrees: true}
 }
 
 func TestSNBRoundTrip(t *testing.T) {
@@ -176,17 +176,17 @@ func TestConvertAblationSizes(t *testing.T) {
 	el.Dedup(true) // unique edges so both-direction counting is exact
 	dir := t.TempDir()
 
-	full, err := Convert(el, dir, "base", ConvertOptions{TileBits: 6, GroupQ: 2})
+	full, err := Convert(el, dir, "base", ConvertOptions{TileBits: 6, GroupQ: 2, Codec: "raw"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	sym, err := Convert(el, dir, "sym", ConvertOptions{TileBits: 6, GroupQ: 2, Symmetry: true})
+	sym, err := Convert(el, dir, "sym", ConvertOptions{TileBits: 6, GroupQ: 2, Symmetry: true, Codec: "raw"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sym.Close()
-	snb, err := Convert(el, dir, "snb", ConvertOptions{TileBits: 6, GroupQ: 2, Symmetry: true, SNB: true})
+	snb, err := Convert(el, dir, "snb", ConvertOptions{TileBits: 6, GroupQ: 2, Symmetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,25 +442,5 @@ func TestStartEdgeAccounting(t *testing.T) {
 	}
 	if total != g.DataBytes() {
 		t.Fatalf("tile ranges cover %d bytes of %d", total, g.DataBytes())
-	}
-}
-
-func TestConvertEdgeListFile(t *testing.T) {
-	el, err := gen.Generate(gen.Graph500Config(8, 4, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	lp := filepath.Join(dir, "edges.bin")
-	if err := graph.WriteEdgeListFile(lp, el); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ConvertEdgeListFile(lp, el.NumVertices, false, dir, "fromfile", testOpts(5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if g.Meta.NumStored != int64(len(el.Edges)) {
-		t.Fatalf("stored %d edges, want %d", g.Meta.NumStored, len(el.Edges))
 	}
 }

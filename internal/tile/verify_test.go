@@ -14,10 +14,10 @@ func TestVerifyCleanGraphs(t *testing.T) {
 		opts ConvertOptions
 		cfg  gen.Config
 	}{
-		{"half-snb", ConvertOptions{TileBits: 6, GroupQ: 4, Symmetry: true, SNB: true, Degrees: true}, gen.Graph500Config(9, 8, 81)},
-		{"full-raw", ConvertOptions{TileBits: 6, GroupQ: 4, Degrees: true}, gen.Graph500Config(9, 8, 81)},
-		{"directed", ConvertOptions{TileBits: 6, GroupQ: 4, SNB: true, Degrees: true}, gen.TwitterLikeConfig(9, 4, 82)},
-		{"no-degrees", ConvertOptions{TileBits: 6, GroupQ: 4, Symmetry: true, SNB: true}, gen.Graph500Config(8, 4, 83)},
+		{"half-snb", ConvertOptions{TileBits: 6, GroupQ: 4, Symmetry: true, Degrees: true}, gen.Graph500Config(9, 8, 81)},
+		{"full-raw", ConvertOptions{TileBits: 6, GroupQ: 4, Codec: "raw", Degrees: true}, gen.Graph500Config(9, 8, 81)},
+		{"directed", ConvertOptions{TileBits: 6, GroupQ: 4, Degrees: true}, gen.TwitterLikeConfig(9, 4, 82)},
+		{"no-degrees", ConvertOptions{TileBits: 6, GroupQ: 4, Symmetry: true}, gen.Graph500Config(8, 4, 83)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,7 +43,7 @@ func TestVerifyDetectsCorruptTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, err := Convert(el, t.TempDir(), "c", ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestVerifyDetectsWrongDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, err := Convert(el, t.TempDir(), "d", ConvertOptions{
-		TileBits: 5, GroupQ: 2, Symmetry: true, SNB: true, Degrees: true,
+		TileBits: 5, GroupQ: 2, Symmetry: true, Degrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestCollectStats(t *testing.T) {
 		},
 	}
 	g, err := Convert(el, t.TempDir(), "s", ConvertOptions{
-		TileBits: 2, GroupQ: 1, Symmetry: true, SNB: true,
+		TileBits: 2, GroupQ: 1, Symmetry: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,11 @@
 //
 //	gengraph -kind kron -scale 20 -edgefactor 16 -seed 1 -out kron-20-16.bin
 //	gengraph -kind twitter -scale 18 -edgefactor 8 -out twitter-like.bin
+//	gengraph -kind rmat -a 0.6 -b 0.15 -c 0.15 -scale 18 -out rmat.bin
+//
+// -a/-b/-c apply to -kind rmat only; the other kinds reject them. Edges
+// are generated on every core and written in the order of the sequential
+// stream, so the file depends on the flags alone.
 package main
 
 import (
@@ -24,9 +29,9 @@ func main() {
 		scale      = flag.Uint("scale", 20, "log2 of the vertex count")
 		edgeFactor = flag.Int("edgefactor", 16, "edges per vertex")
 		seed       = flag.Uint64("seed", 1, "generator seed")
-		a          = flag.Float64("a", 0.57, "RMAT quadrant probability a")
-		b          = flag.Float64("b", 0.19, "RMAT quadrant probability b")
-		cc         = flag.Float64("c", 0.19, "RMAT quadrant probability c")
+		a          = flag.Float64("a", 0.57, "RMAT quadrant probability a (-kind rmat only)")
+		b          = flag.Float64("b", 0.19, "RMAT quadrant probability b (-kind rmat only)")
+		cc         = flag.Float64("c", 0.19, "RMAT quadrant probability c (-kind rmat only)")
 		directed   = flag.Bool("directed", false, "emit directed edges")
 		out        = flag.String("out", "", "output file (required)")
 	)
@@ -34,6 +39,15 @@ func main() {
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "gengraph: -out is required")
 		os.Exit(2)
+	}
+
+	if *kind != "rmat" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "a" || f.Name == "b" || f.Name == "c" {
+				fmt.Fprintf(os.Stderr, "gengraph: -%s applies only to -kind rmat; -kind %s has fixed probabilities\n", f.Name, *kind)
+				os.Exit(2)
+			}
+		})
 	}
 
 	var cfg gen.Config

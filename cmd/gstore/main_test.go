@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -44,6 +45,27 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "wrote 16384 edges") {
 		t.Fatalf("gengraph output: %s", out)
 	}
+
+	// -a/-b/-c only set the quadrants of -kind rmat; any other kind
+	// rejects them instead of silently generating its own graph.
+	for _, args := range [][]string{
+		{"-kind", "kron", "-a", "0.6"},
+		{"-kind", "twitter", "-c", "0.1"},
+		{"-kind", "random", "-b", "0.2"},
+	} {
+		cmd := exec.Command(gengraphBin, append(args, "-scale", "4", "-out", "x.bin")...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "applies only to -kind rmat") {
+			t.Fatalf("gengraph %s: err=%v, want exit 2 naming the flag\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x.bin")); !os.IsNotExist(err) {
+		t.Fatalf("rejected gengraph run left an output file: %v", err)
+	}
+	run(gengraphBin, "-kind", "rmat", "-a", "0.6", "-b", "0.15", "-c", "0.15",
+		"-scale", "4", "-edgefactor", "2", "-out", "r.bin")
 
 	out = run(gstoreBin, "convert", "-in", "k.bin", "-vertices", "2048",
 		"-dir", ".", "-name", "k", "-tilebits", "6", "-groupq", "4")

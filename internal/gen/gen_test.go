@@ -1,11 +1,15 @@
 package gen
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
-	"sort"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/gwu-systems/gstore/internal/graph"
 )
@@ -38,6 +42,8 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Kind: RMAT, Scale: 10, EdgeFactor: 0}, false},
 		{Config{Kind: RMAT, Scale: 10, EdgeFactor: 4, A: 0.9, B: 0.2, C: 0.2}, false},
 		{UniformConfig(10, 4, 3), true},
+		{Config{Kind: RMAT, Scale: 10, EdgeFactor: 4, A: math.NaN(), B: 0.2, C: 0.2}, false},
+		{Config{Kind: Kind(7), Scale: 10, EdgeFactor: 4}, false},
 	}
 	for i, tc := range cases {
 		err := tc.cfg.Validate()
@@ -67,6 +73,88 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.Edges, c.Edges) {
 		t.Fatal("different seeds produced identical graphs")
+	}
+}
+
+// The generator's output is pinned byte for byte: CRC32C of the edges as
+// little-endian (src, dst) uint32 pairs, recorded from the original
+// single-goroutine generator. Every configuration must reproduce it
+// through Stream and Generate at any GOMAXPROCS.
+func TestGeneratePinnedDigests(t *testing.T) {
+	cases := []struct {
+		name          string
+		mk            func(scale uint, edgeFactor int, seed uint64) Config
+		scale         uint
+		edgeFactor    int
+		directed      bool
+		dropSelfLoops bool
+		crc           uint32
+	}{
+		{"kron", Graph500Config, 4, 8, true, false, 0xcdb2d874},
+		{"kron", Graph500Config, 4, 8, true, true, 0x10b4fe1a},
+		{"kron", Graph500Config, 4, 8, false, false, 0xe11c016e},
+		{"kron", Graph500Config, 4, 8, false, true, 0x90b500e2},
+		{"kron", Graph500Config, 10, 8, true, false, 0x3d567a13},
+		{"kron", Graph500Config, 10, 8, false, false, 0xfa060316},
+		{"kron", Graph500Config, 14, 8, true, false, 0xdb499a5f},
+		{"kron", Graph500Config, 14, 8, false, false, 0x6fa4d812},
+		{"twitter", TwitterLikeConfig, 4, 8, true, false, 0xf5a771f3},
+		{"twitter", TwitterLikeConfig, 4, 8, true, true, 0x90c98b82},
+		{"twitter", TwitterLikeConfig, 4, 8, false, false, 0xf33b1637},
+		{"twitter", TwitterLikeConfig, 4, 8, false, true, 0x3c4007c6},
+		{"twitter", TwitterLikeConfig, 10, 8, true, false, 0x870aeac4},
+		{"twitter", TwitterLikeConfig, 10, 8, false, false, 0xff350f87},
+		{"twitter", TwitterLikeConfig, 14, 8, true, false, 0xcd13f038},
+		{"twitter", TwitterLikeConfig, 14, 8, false, false, 0x7a3fe0d6},
+		{"uniform", UniformConfig, 4, 8, true, false, 0xadb84ea8},
+		{"uniform", UniformConfig, 4, 8, true, true, 0x6b840a7f},
+		{"uniform", UniformConfig, 4, 8, false, false, 0xc96db81c},
+		{"uniform", UniformConfig, 4, 8, false, true, 0x6fb89d20},
+		{"uniform", UniformConfig, 10, 8, true, false, 0xfeebea8e},
+		{"uniform", UniformConfig, 10, 8, false, false, 0x3f67b1b9},
+		{"uniform", UniformConfig, 14, 8, true, false, 0xdc2e03f2},
+		{"uniform", UniformConfig, 14, 8, false, false, 0x60304f0d},
+		// 65536 edges at scale 4: rejected self loops span several chunks
+		// and push the stream past NumEdges attempts.
+		{"kron", Graph500Config, 4, 4096, false, true, 0x462f4c32},
+		{"twitter", TwitterLikeConfig, 4, 4096, true, true, 0x28d1c22a},
+		{"uniform", UniformConfig, 4, 4096, false, true, 0xe802a3f6},
+	}
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	digest := func(es []graph.Edge) uint32 {
+		buf := make([]byte, 8*len(es))
+		for i, e := range es {
+			binary.LittleEndian.PutUint32(buf[8*i:], e.Src)
+			binary.LittleEndian.PutUint32(buf[8*i+4:], e.Dst)
+		}
+		return crc32.Checksum(buf, tab)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, tc := range cases {
+				cfg := tc.mk(tc.scale, tc.edgeFactor, 29)
+				cfg.Directed, cfg.DropSelfLoops = tc.directed, tc.dropSelfLoops
+				id := fmt.Sprintf("%s-%d-%d directed=%v drop=%v GOMAXPROCS=%d", tc.name, tc.scale, tc.edgeFactor, tc.directed, tc.dropSelfLoops, procs)
+				var streamed []graph.Edge
+				if err := Stream(cfg, func(e graph.Edge) error {
+					streamed = append(streamed, e)
+					return nil
+				}); err != nil {
+					t.Fatalf("%s: Stream: %v", id, err)
+				}
+				el, err := Generate(cfg)
+				if err != nil {
+					t.Fatalf("%s: Generate: %v", id, err)
+				}
+				if got := digest(streamed); got != tc.crc {
+					t.Errorf("%s: Stream crc32c %#08x, want %#08x", id, got, tc.crc)
+				}
+				if got := digest(el.Edges); got != tc.crc {
+					t.Errorf("%s: Generate crc32c %#08x, want %#08x", id, got, tc.crc)
+				}
+			}
+		}()
 	}
 }
 
@@ -165,21 +253,47 @@ func TestUniformIsRoughlyUniform(t *testing.T) {
 	}
 }
 
+// Stopping early, on the first edge or in the middle of a later chunk,
+// returns emit's error without calling emit again and leaves no goroutine
+// behind, at any worker count.
 func TestStreamEmitError(t *testing.T) {
-	cfg := UniformConfig(6, 4, 1)
-	calls := 0
-	err := Stream(cfg, func(graph.Edge) error {
-		calls++
-		if calls == 5 {
-			return errStop
-		}
-		return nil
-	})
-	if err != errStop {
-		t.Fatalf("err = %v, want errStop", err)
+	cases := []struct {
+		cfg    Config
+		stopAt int
+	}{
+		{Graph500Config(12, 16, 1), 1},
+		{Graph500Config(12, 16, 1), chunkAttempts + chunkAttempts/2},
+		{UniformConfig(6, 4, 1), 5},
 	}
-	if calls != 5 {
-		t.Fatalf("emit called %d times after error", calls)
+	for _, procs := range []int{1, 4} {
+		for _, tc := range cases {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				baseline := runtime.NumGoroutine()
+				calls := 0
+				err := Stream(tc.cfg, func(graph.Edge) error {
+					calls++
+					if calls >= tc.stopAt {
+						return errStop
+					}
+					return nil
+				})
+				if err != errStop {
+					t.Fatalf("%s stop at %d, GOMAXPROCS %d: err = %v, want errStop", tc.cfg.Name(), tc.stopAt, procs, err)
+				}
+				if calls != tc.stopAt {
+					t.Fatalf("%s stop at %d, GOMAXPROCS %d: emit called %d times", tc.cfg.Name(), tc.stopAt, procs, calls)
+				}
+				// Stream has waited for its goroutines; give them a moment
+				// to leave the scheduler's count.
+				for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > baseline {
+					t.Fatalf("%s stop at %d, GOMAXPROCS %d: %d goroutines after Stream, %d before", tc.cfg.Name(), tc.stopAt, procs, n, baseline)
+				}
+			}()
+		}
 	}
 }
 
@@ -216,18 +330,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRNGUint32n(t *testing.T) {
-	r := NewRNG(5)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[r.Uint32n(10)]++
-	}
-	sort.Ints(counts)
-	if counts[0] < 8000 || counts[9] > 12000 {
-		t.Fatalf("Uint32n(10) badly skewed: %v", counts)
-	}
-}
-
 // Property: generated edges always lie in [0, 2^scale).
 func TestQuickEdgesInRange(t *testing.T) {
 	f := func(seed uint64, rawScale, rawEF uint8) bool {
@@ -247,4 +349,16 @@ func TestQuickEdgesInRange(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkGenerate times the kron-16 input (1 Mi edges) at the process's
+// GOMAXPROCS.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := Graph500Config(16, 16, 1)
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cfg.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }

@@ -1,5 +1,7 @@
 package gen
 
+import "math/bits"
+
 // RNG is a small, fast, seedable pseudo-random generator
 // (xoshiro256** seeded via splitmix64). The generators must be
 // deterministic across runs and Go versions so that every experiment in
@@ -31,32 +33,22 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Next returns the next 64 random bits.
+// Next returns the next 64 random bits. It works on locals so that it stays
+// within the inliner's budget: the generator calls it once per draw.
 func (r *RNG) Next() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) * (1.0 / (1 << 53))
-}
-
-// Uint32n returns a uniform integer in [0, n). n must be > 0.
-func (r *RNG) Uint32n(n uint32) uint32 {
-	return uint32((r.Next() >> 32) * uint64(n) >> 32)
-}
-
-// Int63n returns a uniform integer in [0, n). n must be > 0.
-func (r *RNG) Int63n(n int64) int64 {
-	return int64(r.Next() % uint64(n))
 }

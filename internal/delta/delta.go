@@ -18,6 +18,7 @@ package delta
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -191,7 +192,7 @@ func (td *TileDelta) rebuildIns(c tile.Codec, widthMask uint32) {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	ic := insCodec(c)
 	tb := int(ic.TupleBytes())
 	td.ins = make([]byte, len(keys)*tb)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"github.com/gwu-systems/gstore/internal/faultfs"
@@ -88,7 +89,7 @@ func encodeSnapshot(v *View) []byte {
 		for k := range td.state {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		u32(uint32(di))
 		u32(uint32(len(keys)))
 		for _, k := range keys {
@@ -104,7 +105,7 @@ func encodeSnapshot(v *View) []byte {
 	for vx := range v.deg {
 		verts = append(verts, vx)
 	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+	slices.Sort(verts)
 	u32(uint32(len(verts)))
 	for _, vx := range verts {
 		u32(vx)

@@ -33,6 +33,8 @@ import (
 type File interface {
 	io.Reader
 	io.Writer
+	io.ReaderAt
+	io.WriterAt
 	io.Closer
 	io.Seeker
 	Sync() error
@@ -98,12 +100,12 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (osFS) Rename(oldpath, newpath string) error          { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                      { return os.Remove(name) }
-func (osFS) MkdirAll(path string, perm os.FileMode) error  { return os.MkdirAll(path, perm) }
-func (osFS) ReadDir(name string) ([]os.DirEntry, error)    { return os.ReadDir(name) }
-func (osFS) ReadFile(name string) ([]byte, error)          { return os.ReadFile(name) }
-func (osFS) CrashPoint(string) error                       { return nil }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) CrashPoint(string) error                      { return nil }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -501,13 +503,31 @@ func (ff *faultFile) dead() bool {
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
+	return ff.inject(p, ff.write)
+}
+
+// WriteAt is Write at offset off, leaving the write cursor where it is;
+// the same rules and write budget apply.
+func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	return ff.inject(p, func(p []byte) (int, error) {
+		n, err := ff.f.WriteAt(p, off)
+		ff.fmu.Lock()
+		ff.size = max(ff.size, off+int64(n))
+		ff.fmu.Unlock()
+		return n, err
+	})
+}
+
+// inject applies the armed write rules and the write budget to a write
+// of p that write performs.
+func (ff *faultFile) inject(p []byte, write func([]byte) (int, error)) (int, error) {
 	if ff.dead() {
 		return 0, ErrCrashed
 	}
 	rule, err := ff.fs.check(OpWrite, ff.f.Name())
 	if err != nil {
 		if rule != nil && rule.ShortBytes > 0 && rule.ShortBytes < len(p) && !errors.Is(err, ErrCrashed) {
-			n, werr := ff.write(p[:rule.ShortBytes])
+			n, werr := write(p[:rule.ShortBytes])
 			if werr != nil {
 				return n, werr
 			}
@@ -519,11 +539,11 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	if full {
 		n := 0
 		if allowed > 0 {
-			n, _ = ff.write(p[:allowed])
+			n, _ = write(p[:allowed])
 		}
 		return n, fmt.Errorf("write %s: %w", ff.f.Name(), ErrNoSpace)
 	}
-	return ff.write(p)
+	return write(p)
 }
 
 func (ff *faultFile) write(p []byte) (int, error) {
@@ -546,6 +566,13 @@ func (ff *faultFile) Read(p []byte) (int, error) {
 	ff.pos += int64(n)
 	ff.fmu.Unlock()
 	return n, err
+}
+
+func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if ff.dead() {
+		return 0, ErrCrashed
+	}
+	return ff.f.ReadAt(p, off)
 }
 
 func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {

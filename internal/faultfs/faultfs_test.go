@@ -138,6 +138,48 @@ func TestWriteBudgetENOSPC(t *testing.T) {
 	f.Close()
 }
 
+// WriteAt takes the same write rules and budget as Write and leaves the
+// write cursor alone; ReadAt reads what it wrote; the file size a crash
+// tears back to counts WriteAt's bytes.
+func TestWriteAtObeysRulesAndBudget(t *testing.T) {
+	dir := t.TempDir()
+	fs := New(3)
+	fs.Arm(Rule{Op: OpWrite, AfterN: 2, ShortBytes: 1})
+	fs.SetWriteBudget(5)
+	p := filepath.Join(dir, "a")
+	f := openW(t, fs, p)
+	if _, err := f.WriteAt([]byte("cd"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.WriteAt([]byte("ab"), 0); n != 1 || !errors.Is(err, ErrInjected) {
+		t.Fatalf("short WriteAt: n=%d err=%v, want 1, ErrInjected", n, err)
+	}
+	if n, err := f.WriteAt([]byte("efgh"), 4); n != 3 || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("over-budget WriteAt: n=%d err=%v, want 3, ENOSPC", n, err)
+	}
+	fs.SetWriteBudget(-1)
+	if _, err := f.Write([]byte("X")); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 7)
+	if n, err := f.ReadAt(got, 0); n != 7 || err != nil || string(got) != "X\x00cdefg" {
+		t.Fatalf("ReadAt = %q (%d, %v), want Write at offset 0 over the WriteAt bytes", got[:n], n, err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.CrashNow()
+	if _, err := f.WriteAt([]byte("x"), 0); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash WriteAt: want ErrCrashed, got %v", err)
+	}
+	if _, err := f.ReadAt(got, 0); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash ReadAt: want ErrCrashed, got %v", err)
+	}
+	if data, err := os.ReadFile(p); err != nil || string(data) != "X\x00cdefg" {
+		t.Fatalf("synced file after the crash = %q, %v; want all 7 bytes kept", data, err)
+	}
+}
+
 func TestCrashDropsUnsyncedSuffixDeterministically(t *testing.T) {
 	run := func(seed int64) string {
 		dir := t.TempDir()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Codec names a tuple encoding for tile data. Raw and SNB are the
@@ -101,7 +102,7 @@ func (c Codec) FormatVersion() int {
 
 // V3Key packs a tuple's in-tile offsets into the sortable key the v3
 // encoder consumes: source offset in the high bits, destination offset in
-// the low bits bits. Plain uint32 ordering of keys is exactly the
+// the low bits. Plain uint32 ordering of keys is exactly the
 // (source, destination) tuple order.
 func V3Key(srcOff, dstOff uint32, bits uint) uint32 {
 	return srcOff<<bits | dstOff
@@ -109,37 +110,106 @@ func V3Key(srcOff, dstOff uint32, bits uint) uint32 {
 
 // AppendV3 encodes the tuples represented by keys (as packed by V3Key
 // with the same bits) into the v3 block format, appending to dst. keys is
-// sorted in place if not already sorted; duplicates are preserved.
+// sorted first unless it already is (sortV3Keys), so its order afterwards
+// is unspecified; duplicates are preserved.
 func AppendV3(dst []byte, keys []uint32, bits uint) []byte {
 	if !slices.IsSorted(keys) {
-		slices.Sort(keys)
+		scratch := v3SortScratch.Get().(*[]uint32)
+		if cap(*scratch) < len(keys) {
+			*scratch = make([]uint32, len(keys))
+		}
+		keys = sortV3Keys(keys, (*scratch)[:len(keys)])
+		defer func() {
+			if cap(*scratch) <= maxPooledSortKeys {
+				v3SortScratch.Put(scratch)
+			}
+		}()
 	}
 	mask := uint32(1)<<bits - 1
-	var payload []byte
-	var tmp [binary.MaxVarintLen32]byte
 	for off := 0; off < len(keys); off += V3BlockTuples {
 		end := off + V3BlockTuples
 		if end > len(keys) {
 			end = len(keys)
 		}
-		payload = payload[:0]
-		payload = binary.AppendUvarint(payload, uint64(end-off))
+		// The payload is encoded in place behind a 2-byte length prefix:
+		// at most 2 + V3BlockTuples·8 bytes (a 32-bit source delta and a
+		// 16-bit destination per tuple), its uvarint length never needs
+		// more. A payload under 128 bytes takes one, and moves back a
+		// byte.
+		at := len(dst)
+		dst = append(dst, 0, 0)
+		dst = binary.AppendUvarint(dst, uint64(end-off))
 		prevSrc, prevDst := uint32(0), uint32(0)
 		for i, k := range keys[off:end] {
 			src, dstOff := k>>bits, k&mask
-			payload = binary.AppendUvarint(payload, uint64(src-prevSrc))
+			dst = binary.AppendUvarint(dst, uint64(src-prevSrc))
 			if i == 0 || src != prevSrc {
-				payload = binary.AppendUvarint(payload, uint64(dstOff))
+				dst = binary.AppendUvarint(dst, uint64(dstOff))
 			} else {
-				payload = binary.AppendUvarint(payload, uint64(dstOff-prevDst))
+				dst = binary.AppendUvarint(dst, uint64(dstOff-prevDst))
 			}
 			prevSrc, prevDst = src, dstOff
 		}
-		n := binary.PutUvarint(tmp[:], uint64(len(payload)))
-		dst = append(dst, tmp[:n]...)
-		dst = append(dst, payload...)
+		if n := len(dst) - at - 2; n < 0x80 {
+			dst[at] = byte(n)
+			dst = append(dst[:at+1], dst[at+2:]...)
+		} else {
+			dst[at], dst[at+1] = byte(n)|0x80, byte(n>>7)
+		}
 	}
 	return dst
+}
+
+// v3SortScratch recycles AppendV3's radix-sort buffers across calls and
+// goroutines; a buffer above maxPooledSortKeys is dropped rather than
+// pinned.
+var v3SortScratch = sync.Pool{New: func() any { return new([]uint32) }}
+
+const maxPooledSortKeys = 1 << 21 // 8 MiB of uint32 scratch
+
+// radixCutoff is the key count up to which sortV3Keys hands a tile to
+// slices.Sort: below it, clearing and summing the digit counts costs more
+// than the comparisons they save.
+const radixCutoff = 256
+
+// sortV3Keys sorts keys in ascending order: an LSD radix sort in 8-bit
+// digits that skips every digit on which all keys agree (so a V3Key
+// costs passes only for its 2·bits bits), with slices.Sort up to
+// radixCutoff keys. tmp is scratch of len(keys); the sorted keys are
+// returned in whichever of keys and tmp the last pass filled. Equal keys
+// are equal values, so the result is the same as slices.Sort's.
+func sortV3Keys(keys, tmp []uint32) []uint32 {
+	if len(keys) <= radixCutoff {
+		slices.Sort(keys)
+		return keys
+	}
+	// One read of the keys counts all four digits; moving keys between
+	// buffers does not change the counts.
+	var counts [4][256]int
+	for _, k := range keys {
+		counts[0][k&0xff]++
+		counts[1][k>>8&0xff]++
+		counts[2][k>>16&0xff]++
+		counts[3][k>>24]++
+	}
+	src, dst := keys, tmp[:len(keys)]
+	for d := range uint(4) {
+		c, shift := &counts[d], 8*d
+		if c[src[0]>>shift&0xff] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, k := range src {
+			b := k >> shift & 0xff
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // v3Frame splits the leading block off data: the uvarint length prefix

@@ -2,9 +2,12 @@ package tile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/gwu-systems/gstore/internal/gen"
@@ -218,4 +221,104 @@ func putU32(b []byte, v uint32) {
 	b[1] = byte(v >> 8)
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
+}
+
+// v3KeyMask bounds the keys V3Key packs for bits: 2·bits bits.
+func v3KeyMask(bits uint) uint32 { return uint32(uint64(1)<<(2*bits) - 1) }
+
+// checkSortV3Keys requires sortV3Keys to order a copy of keys exactly as
+// slices.Sort does.
+func checkSortV3Keys(t *testing.T, what string, keys []uint32, bits uint) {
+	t.Helper()
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	got := sortV3Keys(slices.Clone(keys), make([]uint32, len(keys)))
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: %d keys at bits %d sort differently from slices.Sort", what, len(keys), bits)
+	}
+}
+
+// The radix sort against slices.Sort: random, all-equal, all-equal but
+// one, already sorted, reversed and heavily duplicated keys, at lengths
+// either side of the small-tile cut-off, for every tile width (bits 16
+// fills all four digits).
+func TestSortV3KeysMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 31))
+	shapes := map[string]func(keys []uint32, mask uint32){
+		"random": func(keys []uint32, mask uint32) {
+			for i := range keys {
+				keys[i] = rng.Uint32() & mask
+			}
+		},
+		"equal": func(keys []uint32, mask uint32) {
+			k := rng.Uint32() & mask
+			for i := range keys {
+				keys[i] = k
+			}
+		},
+		"sorted": func(keys []uint32, mask uint32) {
+			for i := range keys {
+				keys[i] = rng.Uint32() & mask
+			}
+			slices.Sort(keys)
+		},
+		"reversed": func(keys []uint32, mask uint32) {
+			for i := range keys {
+				keys[i] = rng.Uint32() & mask
+			}
+			slices.Sort(keys)
+			slices.Reverse(keys)
+		},
+		"one apart": func(keys []uint32, mask uint32) {
+			k := rng.Uint32() & mask
+			for i := range keys {
+				keys[i] = k
+			}
+			if len(keys) > 0 {
+				keys[rng.IntN(len(keys))] = rng.Uint32() & mask
+			}
+		},
+		"duplicated": func(keys []uint32, mask uint32) {
+			pool := []uint32{0, mask, rng.Uint32() & mask, rng.Uint32() & mask}
+			for i := range keys {
+				keys[i] = pool[rng.IntN(len(pool))]
+			}
+		},
+	}
+	for bits := uint(1); bits <= 16; bits++ {
+		for _, n := range []int{0, 1, radixCutoff - 1, radixCutoff, radixCutoff + 1, 3 * radixCutoff, 20000} {
+			for name, fill := range shapes {
+				keys := make([]uint32, n)
+				fill(keys, v3KeyMask(bits))
+				checkSortV3Keys(t, name, keys, bits)
+			}
+		}
+	}
+}
+
+// FuzzSortV3Keys checks the radix sort against slices.Sort on keys taken
+// from raw, masked to bits as V3Key packs them and unmasked, each also
+// stretched past the small-tile cut-off.
+func FuzzSortV3Keys(f *testing.F) {
+	f.Add(uint8(12), []byte{1, 2, 3, 4, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add(uint8(16), []byte{0, 0, 0, 0x80, 0, 0, 0, 0x7f})
+	f.Add(uint8(1), []byte{3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, rawBits uint8, raw []byte) {
+		bits := uint(rawBits)%16 + 1
+		for name, mask := range map[string]uint32{"masked": v3KeyMask(bits), "unmasked": ^uint32(0)} {
+			var keys []uint32
+			for i := 0; i+4 <= len(raw); i += 4 {
+				keys = append(keys, binary.LittleEndian.Uint32(raw[i:])&mask)
+			}
+			checkSortV3Keys(t, name, keys, bits)
+			if len(keys) == 0 {
+				continue
+			}
+			long := make([]uint32, 2*radixCutoff+1)
+			for i := range long {
+				long[i] = (keys[i%len(keys)] ^ uint32(i/len(keys))*0x9e3779b1) & mask
+			}
+			checkSortV3Keys(t, name+" stretched", long, bits)
+		}
+	})
 }

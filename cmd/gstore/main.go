@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -47,8 +48,6 @@ func main() {
 		err = cmdConvert(os.Args[2:])
 	case "info":
 		err = cmdInfo(os.Args[2:])
-	case "verify":
-		err = cmdVerify(os.Args[2:])
 	case "fsck":
 		err = cmdFsck(os.Args[2:])
 	case "stats":
@@ -71,7 +70,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   gstore convert -in edges.bin -vertices N [-directed] -dir DIR -name NAME [-tilebits 16] [-groupq 256]
   gstore info -graph DIR/NAME
-  gstore verify -graph DIR/NAME
   gstore fsck -graph DIR/NAME
   gstore stats -graph DIR/NAME
   gstore ingest -graph DIR/NAME [-in FILE|-] [-batch 4096]   (lines: "src dst" inserts, "del src dst" deletes)
@@ -97,6 +95,12 @@ func cmdConvert(args []string) error {
 	fs.Parse(args)
 	if *in == "" || *name == "" || *vertices == 0 {
 		return fmt.Errorf("convert: -in, -name and -vertices are required")
+	}
+	if *vertices > math.MaxUint32 {
+		return fmt.Errorf("convert: -vertices %d exceeds 2^32-1", *vertices)
+	}
+	if *groupQ > math.MaxUint32 {
+		return fmt.Errorf("convert: -groupq %d exceeds 2^32-1", *groupQ)
 	}
 	// The input streams from disk twice with a 256 MiB staging budget, so
 	// it may be larger than memory.
@@ -141,26 +145,6 @@ func cmdInfo(args []string) error {
 	fmt.Printf("format:      v%d\n", m.Version)
 	fmt.Printf("data:        %s (+%s start-edge)\n",
 		report.Bytes(g.DataBytes()), report.Bytes(g.StartBytes()))
-	return nil
-}
-
-func cmdVerify(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	path := fs.String("graph", "", "graph base path (dir/name)")
-	fs.Parse(args)
-	if *path == "" {
-		return fmt.Errorf("verify: -graph is required")
-	}
-	g, err := gstore.Open(*path)
-	if err != nil {
-		return err
-	}
-	defer g.Close()
-	if err := tile.Verify(g); err != nil {
-		return err
-	}
-	fmt.Printf("%s: OK (%d tiles, %d tuples, %s)\n",
-		*path, g.Layout.NumTiles(), g.Meta.NumStored, report.Bytes(g.DataBytes()))
 	return nil
 }
 
@@ -354,7 +338,6 @@ func engineFlags(fs *flag.FlagSet) func() core.Options {
 	mem := fs.Int64("memory", 0, "streaming+caching memory ceiling in bytes (default graph/4; the engine holds min(memory, 2 segments + tile data))")
 	seg := fs.Int64("segment", 0, "segment size in bytes (default memory/8)")
 	threads := fs.Int("threads", 0, "worker threads")
-	chunk := fs.Int64("chunk", 0, "work-item chunk size in bytes (0 = 256KiB default, -1 = whole tiles)")
 	disks := fs.Int("disks", 8, "simulated SSD count")
 	bw := fs.Float64("bandwidth", 0, "per-disk bandwidth in bytes/s (0 = unthrottled; -backend sim: per disk, file: aggregate)")
 	backend := fs.String("backend", "sim", "storage backend: sim (simulated striped array) or file (real async reads)")
@@ -384,7 +367,6 @@ func engineFlags(fs *flag.FlagSet) func() core.Options {
 		if *threads > 0 {
 			o.Threads = *threads
 		}
-		o.ChunkBytes = *chunk
 		o.Disks = *disks
 		o.Bandwidth = *bw
 		o.Backend = *backend

@@ -11,7 +11,7 @@ import (
 )
 
 // TestCLIEndToEnd builds the gstore and gengraph binaries and drives the
-// full command-line workflow: generate -> convert -> verify -> stats ->
+// full command-line workflow: generate -> convert -> fsck -> stats ->
 // run every algorithm.
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -73,14 +73,32 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("convert output: %s", out)
 	}
 
+	// -vertices and -groupq are 32-bit on disk: a value that does not fit
+	// is refused rather than truncated, and nothing is written.
+	for _, args := range [][]string{
+		{"-vertices", "0"},
+		{"-vertices", "4294969344"},
+		{"-vertices", "2048", "-groupq", "4294967300"},
+	} {
+		cmd := exec.Command(gstoreBin, append([]string{"convert", "-in", "k.bin",
+			"-dir", ".", "-name", "bad", "-tilebits", "6"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err == nil {
+			t.Fatalf("gstore convert %s succeeded, want an error\n%s", strings.Join(args, " "), out)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "bad.meta")); !os.IsNotExist(err) {
+			t.Fatalf("rejected convert %s left bad.meta: %v", strings.Join(args, " "), err)
+		}
+	}
+
 	out = run(gstoreBin, "info", "-graph", "./k")
 	if !strings.Contains(out, "vertices:    2048") {
 		t.Fatalf("info output: %s", out)
 	}
 
-	out = run(gstoreBin, "verify", "-graph", "./k")
+	out = run(gstoreBin, "fsck", "-graph", "./k")
 	if !strings.Contains(out, "OK") {
-		t.Fatalf("verify output: %s", out)
+		t.Fatalf("fsck output: %s", out)
 	}
 
 	out = run(gstoreBin, "stats", "-graph", "./k")

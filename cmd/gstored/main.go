@@ -68,7 +68,6 @@ func main() {
 	mem := flag.Int64("memory", 64<<20, "per-graph streaming+caching memory ceiling in bytes (the engine holds min(memory, 2 segments + tile data))")
 	seg := flag.Int64("segment", 0, "segment size in bytes (default memory/8)")
 	threads := flag.Int("threads", 0, "worker threads per graph")
-	chunk := flag.Int64("chunk", 0, "work-item chunk size in bytes (0 = 256KiB default, -1 = whole tiles)")
 	maxRuns := flag.Int("maxruns", 8, "concurrent algorithm runs co-scheduled per graph (1-64)")
 	queueLen := flag.Int("queue", 64, "runs queued per graph beyond -maxruns before 429s")
 	qcacheBytes := flag.Int64("qcache-bytes", 64<<20, "personalized-query result cache budget in bytes, charged per entry at its declared summary size (0 disables)")
@@ -126,7 +125,6 @@ func main() {
 		if *threads > 0 {
 			opts.Threads = *threads
 		}
-		opts.ChunkBytes = *chunk
 		opts.MaxConcurrentRuns = *maxRuns
 		opts.MaxQueuedRuns = *queueLen
 		opts.BatchWindow = *batchWindow

@@ -85,10 +85,6 @@ func Convert(edges *EdgeList, dir, name string, opts ConvertOptions) (*Graph, er
 // (dir/name, without extension).
 func Open(basePath string) (*Graph, error) { return tile.Open(basePath) }
 
-// Verify checks a converted graph's on-disk integrity: tuple ranges,
-// start-edge consistency and degree-file agreement.
-func Verify(g *Graph) error { return tile.Verify(g) }
-
 // FsckReport is the result of an offline integrity check.
 type FsckReport = tile.FsckReport
 

@@ -338,7 +338,7 @@ func TestFacadeHDDTier(t *testing.T) {
 	}
 }
 
-func TestFacadeVerifyAndStats(t *testing.T) {
+func TestFacadeFsckAndStats(t *testing.T) {
 	edges, err := gstore.GenerateKronecker(9, 8, 48)
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +350,8 @@ func TestFacadeVerifyAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if err := gstore.Verify(g); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if r := gstore.Fsck(g.BasePath()); !r.OK() {
+		t.Fatalf("Fsck: %v", r.Findings)
 	}
 	st := gstore.CollectStats(g)
 	if st.TotalTuples != int64(len(edges.Edges)) || st.Tiles == 0 {
@@ -383,7 +383,7 @@ func TestFacadeConvertExternal(t *testing.T) {
 	if g.Meta.NumStored != int64(len(edges.Edges)) {
 		t.Fatalf("stored %d, want %d", g.Meta.NumStored, len(edges.Edges))
 	}
-	if err := gstore.Verify(g); err != nil {
-		t.Fatalf("Verify after external convert: %v", err)
+	if r := gstore.Fsck(g.BasePath()); !r.OK() {
+		t.Fatalf("Fsck after external convert: %v", r.Findings)
 	}
 }

@@ -12,11 +12,11 @@ import (
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
-// chunkSizes spans the interesting regimes: chunking disabled (one view
-// per tile), the pathological one-tuple chunk (4 bytes is one SNB tuple,
-// rounds up to one raw tuple, and cuts v3 at every decode block), a few
-// odd small sizes (7 rounds down to 4), and the production default.
-var chunkSizes = []int64{ChunkDisabled, 4, 7, 64, 1 << 10, DefaultChunkBytes}
+// chunkSizes spans the interesting regimes: chunking disabled (-1: one
+// view per tile), the pathological one-tuple chunk (4 bytes is one SNB
+// tuple, rounds up to one raw tuple, and cuts v3 at every decode block),
+// a few odd small sizes (7 rounds down to 4), and the production default.
+var chunkSizes = []int64{-1, 4, 7, 64, 1 << 10, defaultChunkBytes}
 
 // TestChunkedEquivalence pins every kernel against the sequential
 // in-memory references for every codec and chunk size: BFS-family, WCC
@@ -93,7 +93,7 @@ func TestChunkedEquivalence(t *testing.T) {
 			for _, cb := range chunkSizes {
 				t.Run(fmt.Sprintf("%s/%s/chunk=%d", k.name, codec, cb), func(t *testing.T) {
 					opts := smallOpts()
-					opts.ChunkBytes = cb
+					opts.chunkBytes = cb
 					a := k.new()
 					kg := g
 					if k.directed {
@@ -117,7 +117,7 @@ func TestChunkedWorkerStats(t *testing.T) {
 	el := kron(t, 11, 8, 24)
 	g := convert(t, el, 6, 4)
 	opts := smallOpts()
-	opts.ChunkBytes = 256 // force many chunks per dense tile
+	opts.chunkBytes = 256 // force many chunks per dense tile
 	p := algo.NewPageRank(5)
 	st := runAlg(t, g, opts, p)
 	if len(st.WorkerBusy) != opts.Threads || len(st.WorkerChunks) != opts.Threads {

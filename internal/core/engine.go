@@ -339,10 +339,9 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 		})
 	} else {
 		array, err = storage.NewArray(g.TilesFile(), storage.Options{
-			NumDisks:   opts.Disks,
-			StripeSize: opts.StripeSize,
-			Bandwidth:  opts.Bandwidth,
-			Latency:    opts.Latency,
+			NumDisks:  opts.Disks,
+			Bandwidth: opts.Bandwidth,
+			Latency:   opts.Latency,
 		})
 	}
 	if err != nil {
@@ -353,10 +352,9 @@ func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
 		// the tiles file lives on simulated hard drives. The fast tier is
 		// whichever backend was selected above.
 		slow, err := storage.NewArray(g.TilesFile(), storage.Options{
-			NumDisks:   opts.HDD.Disks,
-			StripeSize: opts.StripeSize,
-			Bandwidth:  opts.HDD.Bandwidth,
-			Latency:    opts.HDD.Latency,
+			NumDisks:  opts.HDD.Disks,
+			Bandwidth: opts.HDD.Bandwidth,
+			Latency:   opts.HDD.Latency,
 		})
 		if err != nil {
 			array.Close()
@@ -553,7 +551,7 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 	// busy on a segment dominated by one dense tile. Work items copy the
 	// view headers, so the slice is reused by the next tile.
 	sc := &e.scratch
-	sc.views = tile.SplitViews(sc.views[:0], ref.Data, e.codec, e.opts.ChunkBytes)
+	sc.views = tile.SplitViews(sc.views[:0], ref.Data, e.codec, e.opts.chunkBytes)
 	var prevDone chan struct{} // nil: that select case never fires
 	if prev != nil && prev.active {
 		prevDone = prev.done
@@ -627,7 +625,7 @@ func (e *Engine) Run(ctx context.Context, a algo.Algorithm) (*Stats, error) {
 // seals the runs that finished in it. It is the engine's only run loop
 // body: the cancellation poll, the kernels' Before/AfterIteration hooks,
 // the sweep, the fan-out of a sweep-fatal error to every rider, the
-// MaxIterations bound and the trace event all happen here and nowhere
+// maxIterations bound and the trace event all happen here and nowhere
 // else. The caller owns the engine's sweep for the duration and drops
 // finished runs from the batch before it steps again.
 func (e *Engine) step(batch []*runState) {
@@ -662,7 +660,7 @@ func (e *Engine) step(batch []*runState) {
 					e.traceIteration(r, e.array.Stats().BytesRead-readBefore)
 				}
 				r.iter++
-				if converged || r.iter >= e.opts.MaxIterations {
+				if converged || r.iter >= maxIterations {
 					r.finished = true
 				}
 			}
@@ -1393,15 +1391,15 @@ func (e *Engine) readSyncRetry(batch []*runState, r run, s *mem.Segment) error {
 	}
 }
 
-// backoff pauses before the attempt'th retry (1-based): RetryBackoff
-// doubled per attempt, capped at RetryBackoffMax.
+// backoff pauses before the attempt'th retry (1-based): retryBackoff
+// doubled per attempt, capped at retryBackoffMax.
 //
 // With a single live run the sleep is a timer select against that run's
 // ctx, so a canceled lone run never blocks a retry out — an unconditional
 // time.Sleep here would stall the whole completion loop for up to
-// RetryBackoffMax per retry after the client is gone. With several live
+// retryBackoffMax per retry after the client is gone. With several live
 // runs one client's cancellation must not abort the shared retry, so the
-// sweep sleeps the (capped, ≤RetryBackoffMax) delay and picks
+// sweep sleeps the (capped, ≤retryBackoffMax) delay and picks
 // cancellations up at the next poll point.
 func (e *Engine) backoff(batch []*runState, attempt int) error {
 	var sole *runState
@@ -1415,18 +1413,12 @@ func (e *Engine) backoff(batch []*runState, attempt int) error {
 	if alive == 0 {
 		return errBatchDone
 	}
-	d := e.opts.RetryBackoff
-	if d <= 0 {
-		if pollBatch(batch) == 0 {
-			return errBatchDone
-		}
-		return nil
-	}
-	for i := 1; i < attempt && d < e.opts.RetryBackoffMax; i++ {
+	d, limit := e.opts.retryBackoff, e.opts.retryBackoffMax
+	for i := 1; i < attempt && d < limit; i++ {
 		d *= 2
 	}
-	if max := e.opts.RetryBackoffMax; max > 0 && d > max {
-		d = max
+	if d > limit {
+		d = limit
 	}
 	if alive > 1 {
 		time.Sleep(d)

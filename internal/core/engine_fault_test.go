@@ -17,8 +17,8 @@ func faultOpts(cfg storage.FaultConfig, retries int) Options {
 	o := smallOpts()
 	o.Fault = &cfg
 	o.MaxRetries = retries
-	o.RetryBackoff = 50 * time.Microsecond
-	o.RetryBackoffMax = time.Millisecond
+	o.retryBackoff = 50 * time.Microsecond
+	o.retryBackoffMax = time.Millisecond
 	return o
 }
 
@@ -325,7 +325,7 @@ func soloBatch(ctx context.Context) []*runState {
 // The backoff schedule must honor the cap.
 func TestBackoffCapped(t *testing.T) {
 	batch := soloBatch(context.Background())
-	e := &Engine{opts: Options{RetryBackoff: time.Millisecond, RetryBackoffMax: 4 * time.Millisecond}}
+	e := &Engine{opts: Options{retryBackoff: time.Millisecond, retryBackoffMax: 4 * time.Millisecond}}
 	begin := time.Now()
 	if err := e.backoff(batch, 10); err != nil { // would be 512ms uncapped
 		t.Fatal(err)
@@ -333,20 +333,12 @@ func TestBackoffCapped(t *testing.T) {
 	if elapsed := time.Since(begin); elapsed > 100*time.Millisecond {
 		t.Fatalf("backoff(10) slept %v, want ~4ms cap", elapsed)
 	}
-	e2 := &Engine{opts: Options{}}
-	begin = time.Now()
-	if err := e2.backoff(batch, 5); err != nil { // zero backoff: no sleep
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(begin); elapsed > 50*time.Millisecond {
-		t.Fatalf("zero-config backoff slept %v", elapsed)
-	}
 }
 
 // A canceled context interrupts a retry backoff immediately instead of
 // blocking the completion loop out the full schedule.
 func TestBackoffCanceledContext(t *testing.T) {
-	e := &Engine{opts: Options{RetryBackoff: time.Hour, RetryBackoffMax: time.Hour}}
+	e := &Engine{opts: Options{retryBackoff: time.Hour, retryBackoffMax: time.Hour}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	batch := soloBatch(ctx)

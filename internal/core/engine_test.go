@@ -347,7 +347,7 @@ func TestOptionsNormalize(t *testing.T) {
 	if o.SegmentSize != 500 {
 		t.Fatalf("CacheNone should split memory in two segments, got %d", o.SegmentSize)
 	}
-	if o.Threads <= 0 || o.MaxIterations <= 0 || o.Disks <= 0 {
+	if o.Threads <= 0 || o.chunkBytes <= 0 || o.retryBackoff <= 0 || o.Disks <= 0 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
 }

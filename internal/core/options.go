@@ -32,15 +32,14 @@ const (
 )
 
 const (
-	// DefaultChunkBytes is the chunk threshold used when
-	// Options.ChunkBytes is zero: large enough that chunk dispatch
-	// overhead is noise (a 256 KiB SNB chunk holds 64Ki tuples), small
-	// enough that the densest tiles of a power-law graph split into many
-	// work items.
-	DefaultChunkBytes = 256 << 10
-	// ChunkDisabled turns intra-tile chunking off: every tile is one work
-	// item, as before chunked dispatch existed.
-	ChunkDisabled = -1
+	// defaultChunkBytes is the chunk threshold normalize fills in: large
+	// enough that chunk dispatch overhead is noise (a 256 KiB SNB chunk
+	// holds 64Ki tuples), small enough that the densest tiles of a
+	// power-law graph split into many work items.
+	defaultChunkBytes = 256 << 10
+	// maxIterations bounds every run (safety net for non-converging
+	// input).
+	maxIterations = 1 << 20
 )
 
 func (p CachePolicy) String() string {
@@ -70,20 +69,10 @@ type Options struct {
 	// Threads processes tiles concurrently (paper: OpenMP dynamic
 	// scheduling over rows). Defaults to GOMAXPROCS.
 	Threads int
-	// ChunkBytes caps the tile data handed to one worker as a single work
-	// item. Tiles larger than this split into several tuple-aligned
-	// chunks, so a power-law segment dominated by one dense tile still
-	// keeps every worker busy. Zero selects DefaultChunkBytes;
-	// ChunkDisabled (or any negative value) dispatches whole tiles — the
-	// per-tile fan-out baseline, kept for ablation. The effective size is
-	// rounded down to the graph's tuple alignment (minimum one tuple).
-	ChunkBytes int64
 	// Selective enables metadata-driven selective tile fetching (§V-B).
 	Selective bool
 	// Cache selects the caching policy (see CachePolicy).
 	Cache CachePolicy
-	// MaxIterations bounds the run (safety net for non-converging input).
-	MaxIterations int
 	// SyncIO disables batched asynchronous I/O and reads tile runs
 	// one synchronous request at a time (the POSIX-I/O ablation).
 	SyncIO bool
@@ -92,12 +81,9 @@ type Options struct {
 	// re-submitted before the error surfaces and fails the Run. Zero
 	// disables retries. A failed Run always leaves the engine reusable:
 	// every error path releases its segments and drains in-flight I/O.
+	// The pause before the first retry is 100µs, doubling with each
+	// further attempt up to 10ms.
 	MaxRetries int
-	// RetryBackoff is the pause before the first retry of a request; it
-	// doubles with each further attempt, capped at RetryBackoffMax.
-	// Defaults to 100µs (capped at 10ms) when MaxRetries is set.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 
 	// Fault, when non-nil, wraps the storage array in a fault-injecting
 	// FaultDevice (seeded, deterministic) so runs can be exercised under
@@ -127,11 +113,10 @@ type Options struct {
 	// Storage simulation parameters (see internal/storage). Bandwidth
 	// and Latency are per simulated disk on the sim backend; on the file
 	// backend they configure an aggregate throttle (zero = raw hardware
-	// speed).
-	Disks      int
-	StripeSize int64
-	Bandwidth  float64
-	Latency    time.Duration
+	// speed). The simulated array stripes at storage.DefaultStripeSize.
+	Disks     int
+	Bandwidth float64
+	Latency   time.Duration
 
 	// HDD, when set with a positive Fraction, simulates the tiered store
 	// of the paper's future work (§IX): the trailing Fraction of the
@@ -160,6 +145,20 @@ type Options struct {
 	// root. Zero (the default) disables coalescing — every personalized
 	// query runs as a solo BFS.
 	BatchWindow time.Duration
+
+	// The fields below are set by normalize; only this package's tests
+	// change them.
+
+	// chunkBytes caps the tile data handed to one worker as a single work
+	// item (default defaultChunkBytes). Tiles larger than this split into
+	// several tuple-aligned chunks, so a power-law segment dominated by
+	// one dense tile still keeps every worker busy. A negative value
+	// dispatches whole tiles. The effective size is rounded down to the
+	// graph's tuple alignment (minimum one tuple).
+	chunkBytes int64
+	// retryBackoff is the pause before the first retry of a request; it
+	// doubles with each further attempt, capped at retryBackoffMax.
+	retryBackoff, retryBackoffMax time.Duration
 }
 
 // HDDTier describes the slow tier of a tiered store.
@@ -179,15 +178,13 @@ type HDDTier struct {
 // with 8 MB segments over an unthrottled 8-disk array.
 func DefaultOptions() Options {
 	return Options{
-		MemoryBytes:   64 << 20,
-		SegmentSize:   8 << 20,
-		Threads:       runtime.GOMAXPROCS(0),
-		Selective:     true,
-		Cache:         CacheProactive,
-		MaxIterations: 1 << 20,
-		MaxRetries:    3,
-		Disks:         8,
-		StripeSize:    storage.DefaultStripeSize,
+		MemoryBytes: 64 << 20,
+		SegmentSize: 8 << 20,
+		Threads:     runtime.GOMAXPROCS(0),
+		Selective:   true,
+		Cache:       CacheProactive,
+		MaxRetries:  3,
+		Disks:       8,
 
 		MaxConcurrentRuns: 4,
 		MaxQueuedRuns:     64,
@@ -208,11 +205,8 @@ func (o *Options) normalize() error {
 	if o.Threads <= 0 {
 		o.Threads = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 1 << 20
-	}
-	if o.ChunkBytes == 0 {
-		o.ChunkBytes = DefaultChunkBytes
+	if o.chunkBytes == 0 {
+		o.chunkBytes = defaultChunkBytes
 	}
 	if o.Disks <= 0 {
 		o.Disks = 1
@@ -232,11 +226,11 @@ func (o *Options) normalize() error {
 	if o.BatchWindow < 0 {
 		o.BatchWindow = 0
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 100 * time.Microsecond
+	if o.retryBackoff <= 0 {
+		o.retryBackoff = 100 * time.Microsecond
 	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = 10 * time.Millisecond
+	if o.retryBackoffMax <= 0 {
+		o.retryBackoffMax = 10 * time.Millisecond
 	}
 	if o.HDD != nil {
 		if o.HDD.Fraction < 0 || o.HDD.Fraction > 1 {
@@ -307,7 +301,7 @@ type Stats struct {
 	UnattributedBytes int64
 
 	// Chunks counts the work items dispatched to workers; it exceeds
-	// TilesProcessed whenever tiles split at the ChunkBytes boundary.
+	// TilesProcessed whenever tiles split at the chunk-size boundary.
 	Chunks int64
 	// WorkerBusy is, per worker ID, the time spent inside kernel code
 	// during this run's window — on a shared sweep, for every rider's

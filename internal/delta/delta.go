@@ -290,10 +290,6 @@ type Options struct {
 	// WALSegmentBytes is the WAL rotation threshold (zero: the wal
 	// package default).
 	WALSegmentBytes int64
-	// FlushEveryOps flushes a delta snapshot automatically after this
-	// many applied stored-tuple changes (zero disables auto-flush;
-	// callers flush explicitly or on Close).
-	FlushEveryOps int64
 	// OnFsync observes WAL fsync durations (metrics hook).
 	OnFsync func(d time.Duration)
 	// FS routes all file operations of the store, its WAL, and its
@@ -328,7 +324,6 @@ type Store struct {
 	w           *wal.W     // lazily created on first Apply
 	seq         uint64
 	gen         int // newest snapshot generation on disk
-	sinceFlush  int64
 	closed      bool
 	walAppends  atomic.Uint64
 	flushes     atomic.Uint64
@@ -476,12 +471,6 @@ func (s *Store) Apply(ops []Op) (changed int, err error) {
 		return 0, err
 	}
 	s.view.Store(next)
-	s.sinceFlush += int64(changed)
-	if s.opts.FlushEveryOps > 0 && s.sinceFlush >= s.opts.FlushEveryOps {
-		if err := s.flushLocked(); err != nil {
-			return changed, fmt.Errorf("delta: auto-flush: %w", err)
-		}
-	}
 	return changed, nil
 }
 
@@ -644,7 +633,6 @@ func (s *Store) flushLocked() error {
 	}
 	s.gen++
 	s.flushes.Add(1)
-	s.sinceFlush = 0
 	if s.w != nil {
 		newSeg, err := s.w.Rotate()
 		if err != nil {

@@ -19,7 +19,6 @@ import (
 	"github.com/gwu-systems/gstore/internal/core"
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
-	"github.com/gwu-systems/gstore/internal/storage"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
@@ -232,7 +231,6 @@ func (c *Config) diskOpts(tg *tile.Graph) core.Options {
 	// everything.
 	o.MemoryBytes = clamp(data/2, 4*o.SegmentSize, 1<<30)
 	o.Disks = 8
-	o.StripeSize = storage.DefaultStripeSize
 	// Slow enough that the workload is disk-bound on the reproduction
 	// machine, as the paper's terabyte graphs are on its SSD array.
 	o.Bandwidth = 16 << 20 // 16 MB/s per simulated SSD

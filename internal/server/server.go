@@ -737,8 +737,9 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, h *GraphHan
 			Dst uint32 `json:"dst"`
 			Del bool   `json:"delete"`
 		} `json:"edges"`
-		// Flush forces a delta snapshot + WAL truncation after the batch
-		// (otherwise flushing is automatic and policy-driven).
+		// Flush writes a delta snapshot and truncates the WAL after the
+		// batch. Nothing flushes automatically: without it the WAL grows
+		// until a request sets flush or the server shuts down.
 		Flush bool `json:"flush"`
 	}
 	if !readJSONLimit(w, r, &req, 64<<20) {

@@ -230,7 +230,7 @@ func v3Frame(data []byte) (payload, rest []byte, err error) {
 // tuple payloads: every length prefix must parse, stay in bounds, and the
 // frames must cover data exactly. The engine runs this on the hot read
 // path after the CRC check (cheap — a handful of varint reads per block);
-// full payload validation is done by DecodeBlock (so by fsck and Verify).
+// full payload validation is done by DecodeBlock (so by fsck).
 func ValidateV3Frames(data []byte) error {
 	for block := 0; len(data) > 0; block++ {
 		payload, rest, err := v3Frame(data)

@@ -58,10 +58,7 @@ func TestConvertV3RoundTrip(t *testing.T) {
 		t.Fatalf("v3 tiles %d bytes, snb %d — no compression", g.DataBytes(), snb.DataBytes())
 	}
 
-	// Clean verify and fsck.
-	if err := Verify(g); err != nil {
-		t.Fatalf("Verify(v3): %v", err)
-	}
+	// Clean fsck.
 	r := Fsck(BasePath(dir, "v3rt"))
 	if !r.OK() {
 		t.Fatalf("fsck findings on clean v3 graph: %v", r.Findings)

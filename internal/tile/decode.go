@@ -8,7 +8,7 @@ import (
 // This file is the read side of every tuple codec: DecodeBlock is the
 // only place that knows how tile bytes become edges, and SplitViews the
 // only place that knows where tile bytes may be cut. Every reader — the
-// engine's workers, fsck, Verify, ForEachEdge, the delta merge's v3 base
+// engine's workers, fsck, ForEachEdge, the delta merge's v3 base
 // decode — reaches the bytes through these two.
 
 // DecodeBlock decodes the leading tuples of data, which is in codec c,
@@ -149,7 +149,7 @@ func decodeV3Block(data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuple
 
 // DecodeTuples iterates over the tuples of one tile's data in codec c —
 // DecodeBlock behind a per-tuple callback, for callers off the hot path
-// (fsck, Verify, ForEachEdge, tests). It returns an error, naming the
+// (fsck, ForEachEdge, tests). It returns an error, naming the
 // byte offset of the offending block, if data is not a whole number of
 // tuples (fixed-width codecs) or its block structure is corrupt (v3);
 // tuples of the blocks before a corrupt one have been delivered by then.

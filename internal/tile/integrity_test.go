@@ -1,41 +1,57 @@
 package tile
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"strings"
 	"testing"
 
+	"github.com/gwu-systems/gstore/internal/faultfs"
 	"github.com/gwu-systems/gstore/internal/gen"
 )
 
 // Round-trip: convert (v2) -> fsck clean -> every tile readable with its
-// checksum verified.
+// checksum verified, for each storage layout: half-stored SNB, full raw,
+// directed, and without a degree file.
 func TestConvertFsckRoundTripV2(t *testing.T) {
-	el, err := gen.Generate(gen.Graph500Config(10, 8, 81))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		opts ConvertOptions
+		cfg  gen.Config
+	}{
+		{"half-snb", testOpts(6, 4), gen.Graph500Config(10, 8, 81)},
+		{"full-raw", ConvertOptions{TileBits: 6, GroupQ: 4, Codec: "raw", Degrees: true}, gen.Graph500Config(9, 8, 81)},
+		{"directed", ConvertOptions{TileBits: 6, GroupQ: 4, Degrees: true}, gen.TwitterLikeConfig(9, 4, 82)},
+		{"no-degrees", ConvertOptions{TileBits: 6, GroupQ: 4, Symmetry: true}, gen.Graph500Config(8, 4, 83)},
 	}
-	dir := t.TempDir()
-	g, err := Convert(el, dir, "g", testOpts(6, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if g.Meta.Version != Version {
-		t.Fatalf("converted graph is version %d, want %d", g.Meta.Version, Version)
-	}
-	r := Fsck(g.BasePath())
-	if !r.OK() {
-		t.Fatalf("fsck of a fresh graph found problems: %v", r.Findings)
-	}
-	if r.TilesChecked != g.Layout.NumTiles() || r.TuplesChecked != g.Meta.NumStored {
-		t.Fatalf("fsck report incomplete: %+v", r)
-	}
-	for i := 0; i < g.Layout.NumTiles(); i++ {
-		if _, err := g.ReadTile(i, nil); err != nil {
-			t.Fatalf("ReadTile(%d): %v", i, err)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			el, err := gen.Generate(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Convert(el, t.TempDir(), "g", tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			if g.Meta.Version != Version {
+				t.Fatalf("converted graph is version %d, want %d", g.Meta.Version, Version)
+			}
+			r := Fsck(g.BasePath())
+			if !r.OK() {
+				t.Fatalf("fsck of a fresh graph found problems: %v", r.Findings)
+			}
+			if r.TilesChecked != g.Layout.NumTiles() || r.TuplesChecked != g.Meta.NumStored {
+				t.Fatalf("fsck report incomplete: %+v", r)
+			}
+			for i := 0; i < g.Layout.NumTiles(); i++ {
+				if _, err := g.ReadTile(i, nil); err != nil {
+					t.Fatalf("ReadTile(%d): %v", i, err)
+				}
+			}
+		})
 	}
 }
 
@@ -243,5 +259,100 @@ func TestReadTileDetectsCorruption(t *testing.T) {
 	}
 	if ce.Tile != victim {
 		t.Fatalf("ChecksumError names tile %d, want %d", ce.Tile, victim)
+	}
+}
+
+// The tuple range check and the degree recount are fsck's only defences
+// that no checksum provides. Each case damages one section and re-signs
+// it — the .crc entries, the manifest sums and the meta trailer all
+// vouch for the bad bytes — so only the semantic check can catch it, and
+// it must be the only thing fsck reports.
+func TestFsckSemanticChecksBehindValidDigests(t *testing.T) {
+	el, err := gen.Generate(gen.Graph500Config(9, 8, 87))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		section string
+		// damage rewrites data, the bytes of section, in place.
+		damage func(t *testing.T, g *Graph, data []byte)
+		want   string
+	}{
+		{"tuple-outside-tile", ".tiles", func(t *testing.T, g *Graph, data []byte) {
+			for i := 0; i < g.Layout.NumTiles(); i++ {
+				_, rHi := g.Layout.VertexRange(g.Layout.CoordAt(i).Row)
+				if g.TupleCount(i) == 0 || rHi >= g.Meta.NumVertices {
+					continue
+				}
+				off, _ := g.TileByteRange(i)
+				_, d := GetRaw(data[off:])
+				PutRaw(data[off:], rHi, d) // first source of the next row
+				return
+			}
+			t.Fatal("no non-empty tile below the last row")
+		}, "outside tile ranges"},
+		{"degree-plus-one", ".deg", func(t *testing.T, g *Graph, data []byte) {
+			if g.Meta.DegreeFormat != "compact" {
+				t.Fatalf("degree format %q, want compact", g.Meta.DegreeFormat)
+			}
+			const v = 7
+			s := binary.LittleEndian.Uint16(data[4+2*v:])
+			if s+1 >= degreeEscape {
+				t.Fatalf("vertex %d degree entry %#x is escaped", v, s)
+			}
+			binary.LittleEndian.PutUint16(data[4+2*v:], s+1)
+		}, "degree file says"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := Convert(el, t.TempDir(), "g", ConvertOptions{
+				TileBits: 6, GroupQ: 4, Symmetry: true, Codec: "raw", Degrees: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			base := g.BasePath()
+			data, err := os.ReadFile(base + tc.section)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, g, data)
+
+			m := *g.Meta
+			man := *m.Manifest
+			m.Manifest = &man
+			if tc.section == ".tiles" {
+				crcs := make([]uint32, g.Layout.NumTiles())
+				for i := range crcs {
+					off, n := g.TileByteRange(i)
+					crcs[i] = Checksum(data[off : off+n])
+				}
+				crcData := encodeTileCRCs(crcs)
+				if err := os.WriteFile(crcPath(base), crcData, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				man.Tiles, man.TileCRC = sumBytes(data), sumBytes(crcData)
+			} else {
+				d := sumBytes(data)
+				man.Deg = &d
+			}
+			if err := os.WriteFile(base+tc.section, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeMeta(faultfs.OS, base, &m); err != nil {
+				t.Fatal(err)
+			}
+
+			r := Fsck(base)
+			if r.OK() {
+				t.Fatalf("fsck passed a graph with %s", tc.name)
+			}
+			for _, f := range r.Findings {
+				if !strings.Contains(f.Detail, tc.want) {
+					t.Fatalf("findings %v, want only %q ones", r.Findings, tc.want)
+				}
+			}
+		})
 	}
 }

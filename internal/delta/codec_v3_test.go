@@ -133,7 +133,7 @@ func TestMergeCachesPerGeneration(t *testing.T) {
 		t.Fatal("no delta tiles exercised")
 	}
 
-	// A new view generation clones the TileDelta, so its cache starts
+	// A new view generation builds a new TileDelta, so its cache starts
 	// empty and reflects the new state — stale merges can never leak.
 	if _, err := s.Apply([]Op{{Del: true, Src: 2, Dst: 3}}); err != nil {
 		t.Fatal(err)
@@ -150,26 +150,22 @@ func TestMergeCachesPerGeneration(t *testing.T) {
 // base buffer with a trailing partial tuple must surface as corruption,
 // not be silently dropped.
 func TestMergeRejectsTruncatedBase(t *testing.T) {
-	td := &TileDelta{state: map[uint64]bool{key(1, 2): true}}
-	td.rebuildIns(tile.CodecSNB, 3)
+	td := newTileDelta([]uint64{key(1, 2)}, []bool{true}, tile.CodecSNB, 3)
 
 	base := make([]byte, 4*tile.SNBTupleBytes)
 	if _, err := td.Merge(base, tile.CodecSNB, 2, 0, 0); err != nil {
 		t.Fatalf("aligned base rejected: %v", err)
 	}
-	td2 := &TileDelta{state: map[uint64]bool{key(1, 2): true}}
-	td2.rebuildIns(tile.CodecSNB, 3)
+	td2 := newTileDelta([]uint64{key(1, 2)}, []bool{true}, tile.CodecSNB, 3)
 	if _, err := td2.Merge(base[:len(base)-1], tile.CodecSNB, 2, 0, 0); err == nil {
 		t.Fatal("truncated SNB base accepted")
 	}
-	td3 := &TileDelta{state: map[uint64]bool{key(1, 2): true}}
-	td3.rebuildIns(tile.CodecRaw, 3)
+	td3 := newTileDelta([]uint64{key(1, 2)}, []bool{true}, tile.CodecRaw, 3)
 	if _, err := td3.Merge(make([]byte, 13), tile.CodecRaw, 2, 0, 0); err == nil {
 		t.Fatal("truncated raw base accepted")
 	}
 	// Corrupt v3 framing must surface too.
-	td4 := &TileDelta{state: map[uint64]bool{key(1, 2): true}}
-	td4.rebuildIns(tile.CodecV3, 3)
+	td4 := newTileDelta([]uint64{key(1, 2)}, []bool{true}, tile.CodecV3, 3)
 	if _, err := td4.Merge([]byte{0xff, 0x01}, tile.CodecV3, 2, 0, 0); err == nil {
 		t.Fatal("corrupt v3 base accepted")
 	}

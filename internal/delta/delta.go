@@ -17,6 +17,7 @@ package delta
 
 import (
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -46,11 +47,15 @@ func key(src, dst uint32) uint64 { return uint64(src)<<32 | uint64(dst) }
 // a View (the merge cache below is the one internal, mutex-guarded
 // exception).
 type TileDelta struct {
-	// state maps a stored tuple key to its desired presence: true means
-	// exactly one occurrence (inserted, or surviving a re-insert after
-	// delete), false means zero (every base occurrence masked). Keys
-	// absent from the map keep their base multiplicity.
-	state map[uint64]bool
+	// keys are the stored tuple keys in the delta, ascending, and
+	// present[i] is keys[i]'s desired presence: true means exactly one
+	// occurrence (inserted, or surviving a re-insert after delete), false
+	// means zero (every base occurrence masked). Keys not in the delta
+	// keep their base multiplicity.
+	keys    []uint64
+	present []bool
+	// filter rejects most keys that are not in keys without a search.
+	filter keyFilter
 	// ins holds the encoded tuples for the present keys, sorted by
 	// (src, dst), in the graph's insert encoding (insCodec: the graph's
 	// own fixed-width codec, or SNB offsets for a v3 graph).
@@ -59,10 +64,71 @@ type TileDelta struct {
 	// Merge cache: a delta tile's merged data is identical on every
 	// dispatch of a view generation (the TileDelta is immutable and the
 	// base tile never changes), so the first Merge result is memoized.
-	// cloning for the next generation starts with an empty cache.
+	// The next generation's TileDelta is a new value with an empty cache.
 	mergeMu   sync.Mutex
 	merged    []byte
 	mergedFor int // len(baseData)+1 the cache was built from, 0 when empty
+}
+
+// newTileDelta builds a tile's delta from its ascending keys and their
+// presence flags: the key filter and the insert buffer in the encoding
+// of codec c. widthMask is the graph's tile width minus one.
+func newTileDelta(keys []uint64, present []bool, c tile.Codec, widthMask uint32) *TileDelta {
+	td := &TileDelta{keys: keys, present: present}
+	td.filter.reset(len(keys))
+	for _, k := range keys {
+		td.filter.add(k)
+	}
+	td.rebuildIns(c, widthMask)
+	return td
+}
+
+// find returns the index of key k in td.keys.
+func (td *TileDelta) find(k uint64) (int, bool) {
+	if !td.filter.has(k) {
+		return 0, false
+	}
+	return slices.BinarySearch(td.keys, k)
+}
+
+// keyFilter is a one-hash bitset over a set of tuple keys, 64 bits per
+// key rounded up to a power of two: a key whose bit is clear is not in
+// the set, and about 1.5 % of the keys that are not pass. Base tuples are
+// tested against it before any search, so a tuple outside the delta
+// costs a multiply and a load. A filter over source offsets alone passes
+// far more: kron's heavy sources hold most tuples of a tile, and the
+// deletes that land in the delta are drawn from exactly those sources.
+type keyFilter struct {
+	bits  []uint64
+	shift uint8 // 64 - log2(len(bits)*64)
+}
+
+// reset empties f and sizes it for n keys.
+func (f *keyFilter) reset(n int) {
+	words := 1
+	for words < n {
+		words *= 2
+	}
+	if cap(f.bits) >= words {
+		f.bits = f.bits[:words]
+		clear(f.bits)
+	} else {
+		f.bits = make([]uint64, words)
+	}
+	f.shift = uint8(58 - bits.Len(uint(words-1)))
+}
+
+// slot is k's bit: the top bits of a Fibonacci hash.
+func (f *keyFilter) slot(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 >> f.shift }
+
+func (f *keyFilter) add(k uint64) {
+	b := f.slot(k)
+	f.bits[b>>6] |= 1 << (b & 63)
+}
+
+func (f *keyFilter) has(k uint64) bool {
+	b := f.slot(k)
+	return f.bits[b>>6]&(1<<(b&63)) != 0
 }
 
 // insCodec is the encoding of a TileDelta's ins buffer for a graph using
@@ -76,25 +142,18 @@ func insCodec(c tile.Codec) tile.Codec {
 	return c
 }
 
-// Masked reports whether base occurrences of (src, dst) are suppressed.
-// Every key in the delta masks the base: present keys are re-emitted
-// exactly once through Ins, which is how "insert" deduplicates a
-// multigraph base edge down to the simple-graph semantics.
-func (td *TileDelta) Masked(src, dst uint32) bool {
-	_, ok := td.state[key(src, dst)]
-	return ok
-}
-
 // Ins returns the encoded inserted tuples (sorted). Callers must not
 // modify the slice.
 func (td *TileDelta) Ins() []byte { return td.ins }
 
 // Merge produces the tile's effective data in the graph's codec c: base
 // tuples not masked by the delta plus the inserted tuples (appended for
-// fixed-width codecs, merged into sorted block order for v3). baseData
-// may be nil (a delta-only tile) and is never modified, so pooled cache
-// bytes stay pristine. bits is the graph's TileBits (used by the v3
-// re-encode; ignored otherwise).
+// fixed-width codecs, merged into sorted block order for v3). Every key
+// in the delta masks the base: present keys are re-emitted exactly once
+// through Ins, which is how "insert" deduplicates a multigraph base edge
+// down to the simple-graph semantics. baseData may be nil (a delta-only
+// tile) and is never modified, so pooled cache bytes stay pristine. bits
+// is the graph's TileBits.
 //
 // A corrupt base — a trailing partial tuple, or broken v3 block
 // structure — is surfaced as an error instead of being silently dropped,
@@ -138,16 +197,20 @@ func (td *TileDelta) mergeLocked(baseData []byte, c tile.Codec, bits uint, rowBa
 		if want := int(int64(len(baseData)/2) + int64(len(td.ins)/tile.SNBTupleBytes)); cap(keys) < want {
 			keys = make([]uint32, 0, want)
 		}
-		err := tile.DecodeTuples(baseData, c, rowBase, colBase, func(s, d uint32) {
-			if _, ok := td.state[key(s, d)]; ok {
-				return
+		var src, dst [tile.V3BlockTuples]uint32
+		for rest := baseData; len(rest) > 0; {
+			n, next, err := tile.DecodeBlock(rest, c, rowBase, colBase, &src, &dst)
+			if err != nil {
+				*kp = keys[:0]
+				mergeKeyPool.Put(kp)
+				return nil, fmt.Errorf("delta: merge base tile: tile: decode at byte %d: %w", len(baseData)-len(rest), err)
 			}
-			keys = append(keys, tile.V3Key(s-rowBase, d-colBase, bits))
-		})
-		if err != nil {
-			*kp = keys[:0]
-			mergeKeyPool.Put(kp)
-			return nil, fmt.Errorf("delta: merge base tile: %w", err)
+			for i, s := range src[:n] {
+				if _, ok := td.find(key(s, dst[i])); !ok {
+					keys = append(keys, tile.V3Key(s-rowBase, dst[i]-colBase, bits))
+				}
+			}
+			rest = next
 		}
 		for i := 0; i+tile.SNBTupleBytes <= len(td.ins); i += tile.SNBTupleBytes {
 			so, do := tile.GetSNB(td.ins[i:])
@@ -175,7 +238,7 @@ func (td *TileDelta) mergeLocked(baseData []byte, c tile.Codec, bits uint, rowBa
 		} else {
 			s, d = tile.GetRaw(baseData[i:])
 		}
-		if _, ok := td.state[key(s, d)]; ok {
+		if _, ok := td.find(key(s, d)); ok {
 			continue
 		}
 		out = append(out, baseData[i:i+tb]...)
@@ -183,37 +246,75 @@ func (td *TileDelta) mergeLocked(baseData []byte, c tile.Codec, bits uint, rowBa
 	return append(out, td.ins...), nil
 }
 
-// rebuildIns regenerates the sorted encoded insert buffer from state. c
-// is the graph's codec; the buffer uses insCodec(c).
+// rebuildIns regenerates the sorted encoded insert buffer from the
+// present keys. c is the graph's codec; the buffer uses insCodec(c).
 func (td *TileDelta) rebuildIns(c tile.Codec, widthMask uint32) {
-	keys := make([]uint64, 0, len(td.state))
-	for k, present := range td.state {
-		if present {
-			keys = append(keys, k)
+	n := 0
+	for _, p := range td.present {
+		if p {
+			n++
 		}
 	}
-	slices.Sort(keys)
 	ic := insCodec(c)
 	tb := int(ic.TupleBytes())
-	td.ins = make([]byte, len(keys)*tb)
-	for i, k := range keys {
+	td.ins = make([]byte, n*tb)
+	j := 0
+	for i, k := range td.keys {
+		if !td.present[i] {
+			continue
+		}
 		s, d := uint32(k>>32), uint32(k)
 		if ic == tile.CodecSNB {
-			tile.PutSNB(td.ins[i*tb:], uint16(s&widthMask), uint16(d&widthMask))
+			tile.PutSNB(td.ins[j*tb:], uint16(s&widthMask), uint16(d&widthMask))
 		} else {
-			tile.PutRaw(td.ins[i*tb:], s, d)
+			tile.PutRaw(td.ins[j*tb:], s, d)
 		}
+		j++
 	}
 }
 
-// clone returns a mutable copy (state deep-copied, ins shared until
-// rebuilt, merge cache not carried over — the clone is about to change).
-func (td *TileDelta) clone() *TileDelta {
-	c := &TileDelta{state: make(map[uint64]bool, len(td.state)+1), ins: td.ins}
-	for k, v := range td.state {
-		c.state[k] = v
+// degPageBits sets the degree overlay's page: 1024 vertices.
+const degPageBits = 10
+
+// degOverlay is the net degree change per vertex, held in pages of
+// 1<<degPageBits counts; a nil page, or one past the end, is all zero.
+// Views share pages: a batch copies the page slice and clones only the
+// pages it writes, once each.
+type degOverlay struct {
+	pages   [][]int32
+	nonZero int // entries that are not zero
+}
+
+func (o *degOverlay) get(v uint32) int32 {
+	if p := v >> degPageBits; int(p) < len(o.pages) && o.pages[p] != nil {
+		return o.pages[p][v&(1<<degPageBits-1)]
 	}
-	return c
+	return 0
+}
+
+// add adds d to v's entry. A page not in owned is shared with an older
+// view, so it is cloned first and then owned by this one.
+func (o *degOverlay) add(v uint32, d int32, owned map[uint32]bool) {
+	p := v >> degPageBits
+	if int(p) >= len(o.pages) {
+		o.pages = append(o.pages, make([][]int32, int(p)+1-len(o.pages))...)
+	}
+	pg := o.pages[p]
+	if !owned[p] {
+		pg = make([]int32, 1<<degPageBits)
+		copy(pg, o.pages[p])
+		o.pages[p] = pg
+		owned[p] = true
+	}
+	i := v & (1<<degPageBits - 1)
+	old := pg[i]
+	pg[i] += d
+	switch {
+	case old == 0 && pg[i] != 0:
+		o.nonZero++
+	case old != 0 && pg[i] == 0:
+		o.nonZero--
+	}
 }
 
 // View is an immutable snapshot of the delta layer. The engine captures
@@ -221,7 +322,7 @@ func (td *TileDelta) clone() *TileDelta {
 type View struct {
 	upto  uint64 // last WAL sequence number applied
 	tiles map[int]*TileDelta
-	deg   map[uint32]int32 // net degree change per touched vertex
+	deg   degOverlay // net degree change per vertex
 	// insTuples / maskedKeys summarize the view for stats.
 	insTuples  int64
 	maskedKeys int64
@@ -257,12 +358,12 @@ func (v *View) TileIndexes() []int {
 }
 
 // Empty reports whether the view carries no mutations at all.
-func (v *View) Empty() bool { return v == nil || (len(v.tiles) == 0 && len(v.deg) == 0) }
+func (v *View) Empty() bool { return v == nil || (len(v.tiles) == 0 && v.deg.nonZero == 0) }
 
 // Degrees overlays the view's degree changes on a base source. A nil
 // base returns nil (the graph carries no degree file).
 func (v *View) Degrees(base tile.DegreeSource) tile.DegreeSource {
-	if base == nil || v == nil || len(v.deg) == 0 {
+	if base == nil || v == nil || v.deg.nonZero == 0 {
 		return base
 	}
 	return &degreeOverlay{base: base, delta: v.deg}
@@ -270,11 +371,11 @@ func (v *View) Degrees(base tile.DegreeSource) tile.DegreeSource {
 
 type degreeOverlay struct {
 	base  tile.DegreeSource
-	delta map[uint32]int32
+	delta degOverlay
 }
 
 func (o *degreeOverlay) Degree(v uint32) uint32 {
-	d := int64(o.base.Degree(v)) + int64(o.delta[v])
+	d := int64(o.base.Degree(v)) + int64(o.delta.get(v))
 	if d < 0 {
 		return 0 // defensive; Apply keeps deltas consistent with the base
 	}
@@ -282,7 +383,7 @@ func (o *degreeOverlay) Degree(v uint32) uint32 {
 }
 
 func (o *degreeOverlay) SizeBytes() int64 {
-	return o.base.SizeBytes() + int64(len(o.delta))*8
+	return o.base.SizeBytes() + int64(o.delta.nonZero)*8
 }
 
 // Options configures a Store.
@@ -329,6 +430,7 @@ type Store struct {
 	flushes     atomic.Uint64
 	replayStats wal.ReplayStats
 	replayOps   int64
+	scratch     applyScratch // applyToView's, guarded by mu (Open runs before sharing)
 
 	view atomic.Pointer[View]
 }
@@ -486,126 +588,213 @@ func (e *BadOpError) Error() string {
 		e.Op.Src, e.Op.Dst, e.NumVertices)
 }
 
+// batchKey is one stored tuple key a batch names: its effective count as
+// the batch's ops apply in order, so a later op on the key sees the
+// earlier ones.
+type batchKey struct {
+	tile    int32 // index into the batch's tile list
+	count   int32 // effective count: base multiplicity, or 0/1 once in the delta
+	inDelta bool  // the key is in its tile's delta (before or since this batch)
+	dirty   bool  // the batch changed the key's count
+}
+
+// batchTile is what one batch does to one tile.
+type batchTile struct {
+	di      int
+	old     *TileDelta // the tile's delta before the batch, or nil
+	newKeys []uint64   // keys not in old: their base multiplicity is counted
+	dirty   []uint64   // keys whose count the batch changed
+}
+
+// applyScratch is the write path's reusable scratch: one decode block,
+// the base tile buffer, and the filter of the keys being counted.
+type applyScratch struct {
+	src, dst [tile.V3BlockTuples]uint32
+	buf      []byte
+	filter   keyFilter
+}
+
 // applyToView produces a new view with ops applied on top of cur
-// (copy-on-write: untouched tiles are shared). changed counts stored
-// tuples whose effective count changed.
+// (copy-on-write: untouched tiles and degree pages are shared). changed
+// counts stored tuples whose effective count changed. The work is the
+// batch's: each touched tile's base is decoded once when the batch names
+// keys new to its delta, and each touched tile's key slice is copied
+// once.
 func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error) {
+	layout, directed := s.g.Layout, s.g.Meta.Directed
+	codec := s.g.Meta.TupleCodec()
+	widthMask := layout.TileWidth() - 1
+
+	// First pass: resolve each stored key the batch names, once. A key in
+	// its tile's delta has a known count; a new key's count is its base
+	// multiplicity, counted from the base tile below.
+	idx := make(map[uint64]int32, 2*len(ops))
+	ents := make([]batchKey, 0, 2*len(ops))
+	tileIdx := make(map[int]int32)
+	var tiles []batchTile
+	for _, op := range ops {
+		layout.EachStored(op.Src, op.Dst, directed, func(di int, src, dst uint32) {
+			k := key(src, dst)
+			if _, ok := idx[k]; ok {
+				return
+			}
+			ti, ok := tileIdx[di]
+			if !ok {
+				ti = int32(len(tiles))
+				tileIdx[di] = ti
+				tiles = append(tiles, batchTile{di: di, old: cur.tiles[di]})
+			}
+			bt := &tiles[ti]
+			e := batchKey{tile: ti}
+			if bt.old != nil {
+				if i, ok := bt.old.find(k); ok {
+					e.inDelta = true
+					if bt.old.present[i] {
+						e.count = 1
+					}
+				}
+			}
+			if !e.inDelta {
+				bt.newKeys = append(bt.newKeys, k)
+			}
+			idx[k] = int32(len(ents))
+			ents = append(ents, e)
+		})
+	}
+	for i := range tiles {
+		bt := &tiles[i]
+		if len(bt.newKeys) == 0 || s.g.TupleCount(bt.di) == 0 {
+			continue
+		}
+		counts, err := s.countBase(bt.di, bt.newKeys)
+		if err != nil {
+			return nil, 0, err
+		}
+		for j, k := range bt.newKeys {
+			ents[idx[k]].count = int32(counts[j])
+		}
+	}
+
+	// Second pass: state transitions with exact degree deltas.
 	next := &View{
 		upto:       seq,
-		tiles:      make(map[int]*TileDelta, len(cur.tiles)+4),
-		deg:        make(map[uint32]int32, len(cur.deg)+4),
+		tiles:      make(map[int]*TileDelta, len(cur.tiles)+len(tiles)),
+		deg:        degOverlay{pages: slices.Clone(cur.deg.pages), nonZero: cur.deg.nonZero},
 		insTuples:  cur.insTuples,
 		maskedKeys: cur.maskedKeys,
 	}
 	for di, td := range cur.tiles {
 		next.tiles[di] = td
 	}
-	for v, d := range cur.deg {
-		next.deg[v] = d
-	}
-
-	// First pass: find tuple keys entering the delta for the first time;
-	// their base multiplicity has to be counted from the base tile.
-	layout, directed := s.g.Layout, s.g.Meta.Directed
-	newKeys := make(map[int]map[uint64]uint32) // di -> key -> base count
-	for _, op := range ops {
-		layout.EachStored(op.Src, op.Dst, directed, func(di int, src, dst uint32) {
-			if td := next.tiles[di]; td != nil {
-				if _, ok := td.state[key(src, dst)]; ok {
-					return
-				}
-			}
-			m := newKeys[di]
-			if m == nil {
-				m = make(map[uint64]uint32)
-				newKeys[di] = m
-			}
-			m[key(src, dst)] = 0
-		})
-	}
-	var buf []byte
-	for di, keys := range newKeys {
-		if s.g.TupleCount(di) == 0 {
-			continue
-		}
-		data, err := s.g.ReadTile(di, buf)
-		if err != nil {
-			return nil, 0, fmt.Errorf("delta: counting base occurrences in tile %d: %w", di, err)
-		}
-		buf = data
-		c := s.g.Layout.CoordAt(di)
-		rb, _ := s.g.Layout.VertexRange(c.Row)
-		cb, _ := s.g.Layout.VertexRange(c.Col)
-		if err := tile.DecodeTuples(data, s.g.Meta.TupleCodec(), rb, cb, func(src, dst uint32) {
-			k := key(src, dst)
-			if n, ok := keys[k]; ok {
-				keys[k] = n + 1
-			}
-		}); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	// Second pass: state transitions with exact degree deltas.
+	owned := make(map[uint32]bool) // degree pages cloned by this batch
 	changed := 0
-	touched := make(map[int]bool)
-	widthMask := s.g.Layout.TileWidth() - 1
 	for _, op := range ops {
-		del := op.Del
+		after := int32(1)
+		if op.Del {
+			after = 0
+		}
 		layout.EachStored(op.Src, op.Dst, directed, func(di int, src, dst uint32) {
-			td := next.tiles[di]
-			if td == nil {
-				td = &TileDelta{state: make(map[uint64]bool)}
-			} else if !touched[di] {
-				td = td.clone()
-			}
 			k := key(src, dst)
-			var before int64
-			if present, ok := td.state[k]; ok {
-				if present {
-					before = 1
-				}
-			} else {
-				before = int64(newKeys[di][k])
-			}
-			var after int64
-			if !del {
-				after = 1
-			}
-			if before == after {
+			e := &ents[idx[k]]
+			if e.count == after {
 				return // redundant mutation: no state change
 			}
-			if _, ok := td.state[k]; !ok {
+			if !e.inDelta {
+				e.inDelta = true
 				next.maskedKeys++
 			}
-			td.state[k] = !del
-			next.tiles[di] = td
-			touched[di] = true
+			if !e.dirty {
+				e.dirty = true
+				tiles[e.tile].dirty = append(tiles[e.tile].dirty, k)
+			}
+			d := after - e.count
+			e.count = after
 			changed++
-			d := int32(after - before)
-			next.deg[src] += d
-			if s.g.Layout.Half && src != dst {
-				next.deg[dst] += d
+			next.deg.add(src, d, owned)
+			if layout.Half && src != dst {
+				next.deg.add(dst, d, owned)
 			}
 		})
 	}
-	for di := range touched {
-		td := next.tiles[di]
-		oldIns := len(td.ins)
-		td.rebuildIns(s.g.Meta.TupleCodec(), widthMask)
-		tb := int(insCodec(s.g.Meta.TupleCodec()).TupleBytes())
-		next.insTuples += int64(len(td.ins)/tb) - int64(oldIns/tb)
+
+	// Merge each touched tile's sorted changes into its old key slice.
+	tb := insCodec(codec).TupleBytes()
+	for i := range tiles {
+		bt := &tiles[i]
+		if len(bt.dirty) == 0 {
+			continue
+		}
+		slices.Sort(bt.dirty)
+		var oldKeys []uint64
+		var oldPresent []bool
+		var oldIns int
+		if bt.old != nil {
+			oldKeys, oldPresent, oldIns = bt.old.keys, bt.old.present, len(bt.old.ins)
+		}
+		keys := make([]uint64, 0, len(oldKeys)+len(bt.dirty))
+		present := make([]bool, 0, cap(keys))
+		j := 0
+		for _, k := range bt.dirty {
+			at, found := slices.BinarySearch(oldKeys[j:], k)
+			keys = append(keys, oldKeys[j:j+at]...)
+			present = append(present, oldPresent[j:j+at]...)
+			if j += at; found {
+				j++
+			}
+			keys = append(keys, k)
+			present = append(present, ents[idx[k]].count == 1)
+		}
+		keys = append(keys, oldKeys[j:]...)
+		present = append(present, oldPresent[j:]...)
+		td := newTileDelta(keys, present, codec, widthMask)
+		next.tiles[bt.di] = td
+		next.insTuples += int64(len(td.ins)-oldIns) / tb
 		// A tile whose delta degenerated to "nothing masked, nothing
 		// inserted" could be dropped, but a mask entry with zero base
 		// occurrences is harmless and keeping it keeps accounting simple.
 	}
-	// Drop zero entries from the degree overlay so it stays sparse.
-	for v, d := range next.deg {
-		if d == 0 {
-			delete(next.deg, v)
-		}
-	}
 	return next, changed, nil
+}
+
+// countBase returns how often each of keys (stored keys of tile di, not
+// yet in its delta; sorted in place) occurs in the base tile. The tile is
+// read through ReadTile, so its checksum is verified, and every block is
+// decoded, so its structure is validated; only tuples that pass the keys'
+// filter are searched for.
+func (s *Store) countBase(di int, keys []uint64) ([]uint32, error) {
+	sc := &s.scratch
+	data, err := s.g.ReadTile(di, sc.buf)
+	if err != nil {
+		return nil, fmt.Errorf("delta: counting base occurrences in tile %d: %w", di, err)
+	}
+	sc.buf = data
+	slices.Sort(keys)
+	sc.filter.reset(len(keys))
+	for _, k := range keys {
+		sc.filter.add(k)
+	}
+	c := s.g.Layout.CoordAt(di)
+	rb, _ := s.g.Layout.VertexRange(c.Row)
+	cb, _ := s.g.Layout.VertexRange(c.Col)
+	codec := s.g.Meta.TupleCodec()
+	counts := make([]uint32, len(keys))
+	for rest := data; len(rest) > 0; {
+		n, next, err := tile.DecodeBlock(rest, codec, rb, cb, &sc.src, &sc.dst)
+		if err != nil {
+			return nil, fmt.Errorf("tile: decode at byte %d: %w", len(data)-len(rest), err)
+		}
+		for i, src := range sc.src[:n] {
+			k := key(src, sc.dst[i])
+			if !sc.filter.has(k) {
+				continue
+			}
+			if j, ok := slices.BinarySearch(keys, k); ok {
+				counts[j]++
+			}
+		}
+		rest = next
+	}
+	return counts, nil
 }
 
 // Flush writes the current view to a new snapshot generation, rotates

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
 	"github.com/gwu-systems/gstore/internal/faultfs"
@@ -85,31 +84,25 @@ func encodeSnapshot(v *View) []byte {
 	u32(uint32(len(idx)))
 	for _, di := range idx {
 		td := v.tiles[di]
-		keys := make([]uint64, 0, len(td.state))
-		for k := range td.state {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
 		u32(uint32(di))
-		u32(uint32(len(keys)))
-		for _, k := range keys {
+		u32(uint32(len(td.keys)))
+		for i, k := range td.keys {
 			u64(k)
-			if td.state[k] {
+			if td.present[i] {
 				buf = append(buf, 1)
 			} else {
 				buf = append(buf, 0)
 			}
 		}
 	}
-	verts := make([]uint32, 0, len(v.deg))
-	for vx := range v.deg {
-		verts = append(verts, vx)
-	}
-	slices.Sort(verts)
-	u32(uint32(len(verts)))
-	for _, vx := range verts {
-		u32(vx)
-		u32(uint32(v.deg[vx]))
+	u32(uint32(v.deg.nonZero))
+	for p, page := range v.deg.pages {
+		for i, d := range page {
+			if d != 0 {
+				u32(uint32(p<<degPageBits | i))
+				u32(uint32(d))
+			}
+		}
 	}
 	return buf
 }
@@ -147,8 +140,9 @@ func removeSnapshotsBelow(fsys faultfs.FS, base string, keep int) error {
 
 // parseSnapshot decodes and validates a snapshot file's bytes. g
 // supplies the tuple encoding for rebuilding the per-tile insert
-// buffers; when nil (structural fsck on an unopenable graph) the
-// buffers stay empty.
+// buffers and filters and the vertex count for the degree overlay; when
+// nil (structural fsck on an unopenable graph) the buffers, filters and
+// overlay stay empty.
 func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 	if len(data) < len(snapshotMagic)+4 {
 		return nil, fmt.Errorf("truncated: %d bytes", len(data))
@@ -173,7 +167,6 @@ func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 	v := &View{
 		upto:  binary.LittleEndian.Uint64(p),
 		tiles: make(map[int]*TileDelta),
-		deg:   make(map[uint32]int32),
 	}
 	ntiles := int(binary.LittleEndian.Uint32(p[8:]))
 	p = p[12:]
@@ -192,20 +185,21 @@ func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 		if g != nil && di >= g.Layout.NumTiles() {
 			return nil, fmt.Errorf("tile index %d outside layout (%d tiles)", di, g.Layout.NumTiles())
 		}
-		td := &TileDelta{state: make(map[uint64]bool, nkeys)}
+		keys := make([]uint64, 0, nkeys)
+		present := make([]bool, 0, nkeys)
 		var prevKey uint64
 		for i := 0; i < nkeys; i++ {
 			if err := need(9); err != nil {
 				return nil, err
 			}
 			k := binary.LittleEndian.Uint64(p)
-			present := p[8] != 0
+			present = append(present, p[8] != 0)
 			p = p[9:]
 			if i > 0 && k <= prevKey {
 				return nil, fmt.Errorf("tile %d: keys not ascending", di)
 			}
 			prevKey = k
-			td.state[k] = present
+			keys = append(keys, k)
 			v.maskedKeys++
 			if g != nil {
 				src, dst := uint32(k>>32), uint32(k)
@@ -217,8 +211,9 @@ func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 				}
 			}
 		}
+		td := &TileDelta{keys: keys, present: present}
 		if g != nil {
-			td.rebuildIns(g.Meta.TupleCodec(), g.Layout.TileWidth()-1)
+			td = newTileDelta(keys, present, g.Meta.TupleCodec(), g.Layout.TileWidth()-1)
 			v.insTuples += int64(len(td.ins)) / insCodec(g.Meta.TupleCodec()).TupleBytes()
 		}
 		v.tiles[di] = td
@@ -229,6 +224,7 @@ func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 	ndeg := int(binary.LittleEndian.Uint32(p))
 	p = p[4:]
 	prevV := int64(-1)
+	owned := make(map[uint32]bool)
 	for i := 0; i < ndeg; i++ {
 		if err := need(8); err != nil {
 			return nil, err
@@ -240,10 +236,12 @@ func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 			return nil, fmt.Errorf("degree overlay vertices not ascending at %d", vx)
 		}
 		prevV = int64(vx)
-		if g != nil && vx >= g.Meta.NumVertices {
-			return nil, fmt.Errorf("degree overlay vertex %d outside graph (%d vertices)", vx, g.Meta.NumVertices)
+		if g != nil {
+			if vx >= g.Meta.NumVertices {
+				return nil, fmt.Errorf("degree overlay vertex %d outside graph (%d vertices)", vx, g.Meta.NumVertices)
+			}
+			v.deg.add(vx, d, owned)
 		}
-		v.deg[vx] = d
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after snapshot body", len(p))

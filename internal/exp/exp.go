@@ -8,6 +8,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -124,7 +125,7 @@ func Find(id string) (Runner, bool) {
 var edgeLists = map[string]*graph.EdgeList{}
 
 func (c *Config) edgeList(g gen.Config) (*graph.EdgeList, error) {
-	key := fmt.Sprintf("%s-%d-%v", g.Name(), g.Seed, g.Directed)
+	key := fmt.Sprintf("%#v", g)
 	if el, ok := edgeLists[key]; ok {
 		return el, nil
 	}
@@ -195,8 +196,12 @@ func (c *Config) stdTileOpts() tile.ConvertOptions {
 	return tile.ConvertOptions{Symmetry: true, Degrees: true}
 }
 
-// tileGraph generates, converts and caches a tiled graph under
-// WorkDir/name. opts.TileBits == 0 selects the config default.
+// tileGraph generates, converts and caches a tiled graph under WorkDir.
+// opts.TileBits == 0 selects the config default. The cached files are
+// named after name, the generator config and the conversion options, so
+// a graph is reused only by a caller that would have built the same one
+// (a work directory shared across scales or seeds holds one graph per
+// configuration).
 func (c *Config) tileGraph(name string, g gen.Config, opts tile.ConvertOptions) (*tile.Graph, error) {
 	if opts.TileBits == 0 {
 		opts.TileBits = c.tileBits()
@@ -204,6 +209,7 @@ func (c *Config) tileGraph(name string, g gen.Config, opts tile.ConvertOptions) 
 	if opts.GroupQ == 0 {
 		opts.GroupQ = 8
 	}
+	name = cachedGraphName(name, g, opts)
 	base := tile.BasePath(c.WorkDir, name)
 	if _, err := os.Stat(base + ".meta"); err == nil {
 		if tg, err := tile.Open(base); err == nil {
@@ -216,6 +222,16 @@ func (c *Config) tileGraph(name string, g gen.Config, opts tile.ConvertOptions) 
 		return nil, err
 	}
 	return tile.Convert(el, c.WorkDir, name, opts)
+}
+
+// cachedGraphName extends name with g's paper-style name and a digest of
+// everything that shapes the converted files: every generator field and
+// every conversion option but the filesystem hook.
+func cachedGraphName(name string, g gen.Config, opts tile.ConvertOptions) string {
+	opts.FS = nil
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%#v %#v", g, opts)
+	return fmt.Sprintf("%s-%s-%08x", name, g.Name(), h.Sum32())
 }
 
 // diskOpts returns engine options that put the run in the paper's

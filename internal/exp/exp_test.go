@@ -2,8 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/gwu-systems/gstore/internal/tile"
 )
 
 // quickConfig returns a tiny configuration so the whole suite runs in
@@ -97,5 +101,44 @@ func TestPercentile(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if clamp(5, 1, 10) != 5 || clamp(0, 1, 10) != 1 || clamp(50, 1, 10) != 10 {
 		t.Fatal("clamp broken")
+	}
+}
+
+// A work directory shared across scales must not hand one scale's cached
+// graph to another: kron-14 then kron-12 in one directory converts twice
+// and the second graph holds kron-12's edges; asking for kron-14 again
+// reuses the first conversion.
+func TestTileGraphCacheKeyedByConfig(t *testing.T) {
+	dir := t.TempDir()
+	open := func(scale uint) *tile.Graph {
+		t.Helper()
+		c := &Config{WorkDir: dir, Scale: scale, Seed: 99, Out: io.Discard}
+		c.Defaults()
+		tg, err := c.tileGraph("kron-main", c.kronCfg(), c.stdTileOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tg.Close() })
+		if want := c.kronCfg().NumEdges(); tg.Meta.NumOriginal != want {
+			t.Fatalf("scale %d: graph has %d edges, want %d", scale, tg.Meta.NumOriginal, want)
+		}
+		return tg
+	}
+	converted := func() int {
+		t.Helper()
+		metas, err := filepath.Glob(filepath.Join(dir, "*.meta"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(metas)
+	}
+	open(14)
+	open(12)
+	if n := converted(); n != 2 {
+		t.Fatalf("%d graphs converted after kron-14 and kron-12, want 2", n)
+	}
+	open(14)
+	if n := converted(); n != 2 {
+		t.Fatalf("%d graphs converted after reopening kron-14, want 2 (the cache was not reused)", n)
 	}
 }

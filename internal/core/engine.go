@@ -64,6 +64,12 @@ type Engine struct {
 	// untouched.
 	deltaStore *delta.Store
 
+	// degrees is the graph's degree file, read and verified by the first
+	// run that loads it and kept: the base graph never changes. degMu
+	// guards it, as a Scheduler prepares runs on many goroutines.
+	degMu   sync.Mutex
+	degrees tile.DegreeSource
+
 	work chan workItem
 	wg   sync.WaitGroup
 	// groups count the outstanding work items of the (at most two)
@@ -155,8 +161,7 @@ func (e *Engine) prepare(ctx context.Context, a algo.Algorithm) (*runState, erro
 	var degrees tile.DegreeSource
 	if e.g.Meta.DegreeFormat != "" {
 		var err error
-		degrees, err = e.g.Degrees()
-		if err != nil {
+		if degrees, err = e.baseDegrees(); err != nil {
 			return nil, err
 		}
 	}
@@ -183,6 +188,21 @@ func (e *Engine) prepare(ctx context.Context, a algo.Algorithm) (*runState, erro
 		stats: &Stats{Algorithm: a.Name()},
 		began: time.Now(),
 	}, nil
+}
+
+// baseDegrees returns the graph's degree file, loading it on the first
+// call that succeeds; a failed load is not kept, so the next run retries.
+func (e *Engine) baseDegrees() (tile.DegreeSource, error) {
+	e.degMu.Lock()
+	defer e.degMu.Unlock()
+	if e.degrees == nil {
+		d, err := e.g.Degrees()
+		if err != nil {
+			return nil, err
+		}
+		e.degrees = d
+	}
+	return e.degrees, nil
 }
 
 // pollBatch marks canceled runs finished and reports how many runs are

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -246,4 +247,64 @@ func TestUndecodableTileFailsRun(t *testing.T) {
 		t.Fatalf("run that skips the damaged tile: %v", err)
 	}
 	requireIdle(t, e)
+}
+
+// The degree file is loaded once per engine: after a first PageRank has
+// read it, damage to it on disk does not reach a second run on the same
+// engine. A failed load is not kept: an engine whose first run met the
+// damage runs clean once the file is restored.
+func TestEngineLoadsDegreesOnce(t *testing.T) {
+	el := kron(t, 10, 8, 2)
+	g := convert(t, el, 6, 4)
+	want := graph.RefPageRank(graph.NewCSR(el, false), graph.DefaultPageRank(3))
+	degPath := g.BasePath() + ".deg"
+	clean, err := os.ReadFile(degPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append([]byte(nil), clean...)
+	damaged[len(damaged)/2] ^= 0x40
+	run := func(e *Engine) error {
+		p := algo.NewPageRank(3)
+		if _, err := e.Run(context.Background(), p); err != nil {
+			return err
+		}
+		for v, r := range p.Ranks() {
+			if math.Abs(r-want[v]) > 1e-9 {
+				t.Fatalf("rank[%d] = %v, want %v", v, r, want[v])
+			}
+		}
+		return nil
+	}
+	write := func(data []byte) {
+		if err := os.WriteFile(degPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e, err := NewEngine(g, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := run(e); err != nil {
+		t.Fatal(err)
+	}
+	write(damaged)
+	if err := run(e); err != nil {
+		t.Fatalf("second run re-read the degree file: %v", err)
+	}
+
+	e2, err := NewEngine(g, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if err := run(e2); err == nil {
+		t.Fatal("PageRank ran over a damaged degree file")
+	}
+	write(clean)
+	if err := run(e2); err != nil {
+		t.Fatalf("run after restoring the degree file: %v", err)
+	}
 }

@@ -94,12 +94,14 @@ func resetStore(b *testing.B, base string) {
 // grows from empty to 32 batches, the repo benchmark's closing write
 // phase on kron-16. ms/batch is the median batch; last-ms/batch the
 // median of each iteration's final batch, which shows whether a batch
-// costs more as the delta grows.
+// costs more as the delta grows; base-tuples/batch the mean number of
+// base tuples a batch decodes to count the keys it names, an exact count.
 func BenchmarkApply(b *testing.B) {
 	for _, codec := range []string{"snb", "v3"} {
 		b.Run(codec, func(b *testing.B) {
 			g, base, batches := benchInput(b, codec, 32)
 			var lat, last []float64
+			var decoded int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -117,6 +119,7 @@ func BenchmarkApply(b *testing.B) {
 					lat = append(lat, float64(time.Since(begin).Microseconds())/1e3)
 				}
 				last = append(last, lat[len(lat)-1])
+				decoded += s.scratch.decoded
 				b.StopTimer()
 				if err := s.Close(); err != nil {
 					b.Fatal(err)
@@ -125,6 +128,7 @@ func BenchmarkApply(b *testing.B) {
 			}
 			b.ReportMetric(median(lat), "ms/batch")
 			b.ReportMetric(median(last), "last-ms/batch")
+			b.ReportMetric(float64(decoded)/float64(len(lat)), "base-tuples/batch")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/gwu-systems/gstore/internal/graph"
@@ -168,5 +169,125 @@ func TestMergeRejectsTruncatedBase(t *testing.T) {
 	td4 := newTileDelta([]uint64{key(1, 2)}, []bool{true}, tile.CodecV3, 3)
 	if _, err := td4.Merge([]byte{0xff, 0x01}, tile.CodecV3, 2, 0, 0); err == nil {
 		t.Fatal("corrupt v3 base accepted")
+	}
+}
+
+// TestCountBaseBlockChoice checks the v3 write path's block choice: the
+// base count of a key, taken only from the blocks whose head range can
+// hold it, must equal a count over the whole tile. Keys are counted one
+// at a time, so no other key can make a block decode, and then all at
+// once.
+func TestCountBaseBlockChoice(t *testing.T) {
+	// A tile's tuples as indexes into its 64×64 offset square (source
+	// offset = i/64, destination offset = i%64), in sorted order.
+	spread := func(n, from int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from + 3*i // gaps, so a head's neighbours are absent
+		}
+		return out
+	}
+	const x = 1270 // the key of the block-filling run below
+	cases := []struct {
+		name   string
+		tuples []int
+	}{
+		{"one block", spread(100, 70)},
+		{"exactly two blocks", spread(2*tile.V3BlockTuples, 70)},
+		{"key twice across a boundary", func() []int {
+			s := spread(1100, 70)
+			s[tile.V3BlockTuples] = s[tile.V3BlockTuples-1]
+			return s
+		}()},
+		{"one key fills a block", func() []int {
+			s := spread(400, 70)
+			for range 700 {
+				s = append(s, x)
+			}
+			return append(s, spread(200, x+3)...)
+		}()},
+	}
+	for _, mode := range []string{"half", "directed"} {
+		for _, tc := range cases {
+			t.Run(mode+"/"+tc.name, func(t *testing.T) {
+				// Tile (0, 1): sources 0..63, destinations 64..127, stored
+				// as given in both layouts.
+				el := &graph.EdgeList{NumVertices: 128, Directed: mode == "directed"}
+				for _, i := range tc.tuples {
+					el.Edges = append(el.Edges, graph.Edge{Src: uint32(i / 64), Dst: 64 + uint32(i%64)})
+				}
+				dir := t.TempDir()
+				g, err := tile.Convert(el, dir, "b", tile.ConvertOptions{
+					TileBits: 6, GroupQ: 2, Symmetry: mode == "half", Codec: "v3", Degrees: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer g.Close()
+				s, err := Open(g, tile.BasePath(dir, "b"), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				di := g.Layout.DiskIndex(0, 1)
+				data, err := g.ReadTile(di, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make(map[uint64]uint32)
+				if err := tile.DecodeTuples(data, tile.CodecV3, 0, 64, func(s, d uint32) {
+					want[key(s, d)]++
+				}); err != nil {
+					t.Fatal(err)
+				}
+				at := func(i int) uint64 { return key(uint32(i/64), 64+uint32(i%64)) }
+				last := tc.tuples[len(tc.tuples)-1]
+				probes := []uint64{at(0), at(tc.tuples[0] - 1), at(last), at(last + 1), at(64*64 - 1), at(x)}
+				for rest := data; len(rest) > 0; {
+					src, dst, next, err := tile.V3BlockHead(rest, 0, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := key(src, dst)
+					probes = append(probes, h-1, h, h+1)
+					rest = next
+				}
+				for _, i := range []int{1, 100, tile.V3BlockTuples - 1, tile.V3BlockTuples, len(tc.tuples) - 2} {
+					if i < len(tc.tuples) {
+						probes = append(probes, at(tc.tuples[i]))
+					}
+				}
+				for _, k := range probes {
+					counts, err := s.countBase(di, []uint64{k})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if counts[0] != want[k] {
+						t.Fatalf("key (%d, %d) alone: counted %d, the whole tile holds %d",
+							uint32(k>>32), uint32(k), counts[0], want[k])
+					}
+				}
+				slices.Sort(probes)
+				keys := slices.Compact(probes)
+				counts, err := s.countBase(di, slices.Clone(keys))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, k := range keys {
+					if counts[j] != want[k] {
+						t.Fatalf("key (%d, %d) among %d: counted %d, the whole tile holds %d",
+							uint32(k>>32), uint32(k), len(keys), counts[j], want[k])
+					}
+				}
+				// A key inside the first block decodes that block alone.
+				before := s.scratch.decoded
+				if _, err := s.countBase(di, []uint64{at(tc.tuples[1])}); err != nil {
+					t.Fatal(err)
+				}
+				if got, wantN := s.scratch.decoded-before, int64(min(len(tc.tuples), tile.V3BlockTuples)); got != wantN {
+					t.Fatalf("a key in the first block decoded %d tuples, want %d", got, wantN)
+				}
+			})
+		}
 	}
 }

@@ -607,11 +607,16 @@ type batchTile struct {
 }
 
 // applyScratch is the write path's reusable scratch: one decode block,
-// the base tile buffer, and the filter of the keys being counted.
+// the base tile buffer, the filter of the keys being counted and their
+// counts, and a v3 tile's block heads and their byte offsets.
 type applyScratch struct {
 	src, dst [tile.V3BlockTuples]uint32
 	buf      []byte
 	filter   keyFilter
+	counts   []uint32
+	heads    []uint64
+	offs     []int
+	decoded  int64 // base tuples decoded since Open (BenchmarkApply reports it)
 }
 
 // applyToView produces a new view with ops applied on top of cur
@@ -757,15 +762,29 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 }
 
 // countBase returns how often each of keys (stored keys of tile di, not
-// yet in its delta; sorted in place) occurs in the base tile. The tile is
-// read through ReadTile, so its checksum is verified, and every block is
-// decoded, so its structure is validated; only tuples that pass the keys'
-// filter are searched for.
+// yet in its delta; sorted in place) occurs in the base tile. The slice
+// is the store's scratch, valid until the next call. Errors name the
+// tile.
 func (s *Store) countBase(di int, keys []uint64) ([]uint32, error) {
+	counts, err := s.countTile(di, keys)
+	if err != nil {
+		return nil, fmt.Errorf("delta: counting base occurrences in tile %d: %w", di, err)
+	}
+	return counts, nil
+}
+
+// countTile is countBase without the tile in its errors. The tile is read
+// through ReadTile, so its checksum is verified whole. A fixed-width tile
+// is unsorted, so every tuple is decoded. A v3 tile is sorted, and its
+// block heads are its index: every block's frame and head are read, a
+// head below the one before is an error, and only the blocks whose head
+// range can hold a key are decoded (and so validated) in full. Decoded
+// tuples are searched for only when they pass the keys' filter.
+func (s *Store) countTile(di int, keys []uint64) ([]uint32, error) {
 	sc := &s.scratch
 	data, err := s.g.ReadTile(di, sc.buf)
 	if err != nil {
-		return nil, fmt.Errorf("delta: counting base occurrences in tile %d: %w", di, err)
+		return nil, err
 	}
 	sc.buf = data
 	slices.Sort(keys)
@@ -773,28 +792,76 @@ func (s *Store) countBase(di int, keys []uint64) ([]uint32, error) {
 	for _, k := range keys {
 		sc.filter.add(k)
 	}
+	sc.counts = slices.Grow(sc.counts[:0], len(keys))[:len(keys)]
+	clear(sc.counts)
 	c := s.g.Layout.CoordAt(di)
 	rb, _ := s.g.Layout.VertexRange(c.Row)
 	cb, _ := s.g.Layout.VertexRange(c.Col)
 	codec := s.g.Meta.TupleCodec()
-	counts := make([]uint32, len(keys))
+	if codec != tile.CodecV3 {
+		for rest := data; len(rest) > 0; {
+			if rest, err = sc.countBlock(data, rest, codec, rb, cb, keys); err != nil {
+				return nil, err
+			}
+		}
+		return sc.counts, nil
+	}
+
+	sc.heads, sc.offs = sc.heads[:0], sc.offs[:0]
 	for rest := data; len(rest) > 0; {
-		n, next, err := tile.DecodeBlock(rest, codec, rb, cb, &sc.src, &sc.dst)
+		off := len(data) - len(rest)
+		src, dst, next, err := tile.V3BlockHead(rest, rb, cb)
 		if err != nil {
-			return nil, fmt.Errorf("tile: decode at byte %d: %w", len(data)-len(rest), err)
+			return nil, fmt.Errorf("tile: decode at byte %d: %w", off, err)
 		}
-		for i, src := range sc.src[:n] {
-			k := key(src, sc.dst[i])
-			if !sc.filter.has(k) {
-				continue
-			}
-			if j, ok := slices.BinarySearch(keys, k); ok {
-				counts[j]++
-			}
+		h := key(src, dst)
+		if n := len(sc.heads); n > 0 && h < sc.heads[n-1] {
+			return nil, fmt.Errorf("tile: v3 block at byte %d starts at (%d, %d), below the block before it: blocks out of order",
+				off, src, dst)
 		}
+		sc.heads, sc.offs = append(sc.heads, h), append(sc.offs, off)
 		rest = next
 	}
-	return counts, nil
+	// Block j holds keys in [heads[j], heads[j+1]]: inclusive above, as a
+	// key held more than once can straddle the boundary. keys[:p] are
+	// below the current block's head, so no later block holds them either.
+	p := 0
+	for j, lo := range sc.heads {
+		for p < len(keys) && keys[p] < lo {
+			p++
+		}
+		if p == len(keys) {
+			break
+		}
+		if j+1 < len(sc.heads) && keys[p] > sc.heads[j+1] {
+			continue
+		}
+		if _, err := sc.countBlock(data, data[sc.offs[j]:], codec, rb, cb, keys); err != nil {
+			return nil, err
+		}
+	}
+	return sc.counts, nil
+}
+
+// countBlock decodes the leading block of rest, a suffix of the tile data,
+// adds the block's tuples that are among keys to sc.counts, and returns
+// the bytes after the block.
+func (sc *applyScratch) countBlock(data, rest []byte, c tile.Codec, rb, cb uint32, keys []uint64) ([]byte, error) {
+	n, next, err := tile.DecodeBlock(rest, c, rb, cb, &sc.src, &sc.dst)
+	if err != nil {
+		return nil, fmt.Errorf("tile: decode at byte %d: %w", len(data)-len(rest), err)
+	}
+	sc.decoded += int64(n)
+	for i, src := range sc.src[:n] {
+		k := key(src, sc.dst[i])
+		if !sc.filter.has(k) {
+			continue
+		}
+		if j, ok := slices.BinarySearch(keys, k); ok {
+			sc.counts[j]++
+		}
+	}
+	return next, nil
 }
 
 // Flush writes the current view to a new snapshot generation, rotates

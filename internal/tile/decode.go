@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the read side of every tuple codec: DecodeBlock is the
-// only place that knows how tile bytes become edges, and SplitViews the
-// only place that knows where tile bytes may be cut. Every reader — the
-// engine's workers, fsck, ForEachEdge, the delta merge's v3 base
-// decode — reaches the bytes through these two.
+// only place that knows how tile bytes become edges (V3BlockHead reads a
+// v3 block's first edge alone), and SplitViews the only place that knows
+// where tile bytes may be cut. Every reader — the engine's workers, fsck,
+// ForEachEdge, the delta write and merge paths — reaches the bytes
+// through these.
 
 // DecodeBlock decodes the leading tuples of data, which is in codec c,
 // into src and dst as full vertex IDs, and returns how many it decoded
@@ -48,6 +49,34 @@ func DecodeBlock(data []byte, c Codec, rowBase, colBase uint32, src, dst *[V3Blo
 		dst[i] = uint32(t >> 32)
 	}
 	return n, data[n*RawTupleBytes:], nil
+}
+
+// V3BlockHead returns the first tuple of the leading v3 block of data, as
+// full vertex IDs, and the bytes that follow the block. It reads the
+// block's frame, its tuple count and its first two varints, and checks
+// each as DecodeBlock would; the rest of the payload is neither decoded
+// nor validated. Every block restarts its delta chains, so its first
+// tuple is absolute, and a v3 tile is sorted by (source, destination)
+// across its blocks, so the heads of a tile's blocks are a sorted index
+// of it: block j can hold a key k only if head j <= k <= head j+1.
+func V3BlockHead(data []byte, rowBase, colBase uint32) (src, dst uint32, rest []byte, err error) {
+	payload, rest, err := v3Frame(data)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	count, k := binary.Uvarint(payload)
+	if k <= 0 || count == 0 || count > V3BlockTuples {
+		return 0, 0, nil, fmt.Errorf("tile: v3 block has bad tuple count %d", count)
+	}
+	s, n := binary.Uvarint(payload[k:])
+	if n <= 0 || s > v3MaxField {
+		return 0, 0, nil, fmt.Errorf("tile: v3 block tuple 0 has corrupt source delta")
+	}
+	d, m := binary.Uvarint(payload[k+n:])
+	if m <= 0 || d > v3MaxField {
+		return 0, 0, nil, fmt.Errorf("tile: v3 block tuple 0 has corrupt destination field")
+	}
+	return rowBase + uint32(s), colBase + uint32(d), rest, nil
 }
 
 // decodeV3Block decodes one length-framed v3 block, validating the frame,

@@ -67,7 +67,10 @@ func (r *FsckReport) add(section string, tileIdx int, format string, args ...int
 //     from zero, final entry matching the meta edge count
 //   - crc: manifest length+digest
 //   - tiles: file size, whole-file digest, then per-tile: CRC32C against
-//     the sidecar and every decoded tuple inside its tile's vertex ranges
+//     the sidecar, every decoded tuple inside its tile's vertex ranges,
+//     and for v3 tuples that never decrease in (source, destination)
+//     order across the whole tile, the order the write path's block
+//     choice relies on
 //   - deg: manifest length+digest, decodable, and in agreement with the
 //     degrees recounted from the tuples
 //
@@ -212,12 +215,20 @@ func Fsck(p string) *FsckReport {
 				co := layout.CoordAt(i)
 				rLo, rHi := layout.VertexRange(co.Row)
 				cLo, cHi := layout.VertexRange(co.Col)
-				bad := -1
+				bad, unsorted := -1, -1
 				idx := 0
+				var prev uint64 // the previous tuple's (source, destination)
 				err := DecodeTuples(b, codec, rLo, cLo, func(s, d uint32) {
 					if bad < 0 && (s < rLo || s >= rHi || d < cLo || d >= cHi ||
 						s >= m.NumVertices || d >= m.NumVertices) {
 						bad = idx
+					}
+					if codec == CodecV3 {
+						k := uint64(s)<<32 | uint64(d)
+						if unsorted < 0 && k < prev {
+							unsorted = idx
+						}
+						prev = k
 					}
 					if deg != nil && s < m.NumVertices && d < m.NumVertices {
 						deg[s]++
@@ -234,6 +245,11 @@ func Fsck(p string) *FsckReport {
 				case bad >= 0:
 					r.add("tiles", i, "tuple %d outside tile ranges (row %d, col %d)",
 						bad, co.Row, co.Col)
+				case unsorted >= 0:
+					// Within a block the encoding cannot go backwards, so
+					// this is an order broken across a block boundary.
+					r.add("tiles", i, "tuple %d is below tuple %d in (source, destination) order (row %d, col %d)",
+						unsorted, unsorted-1, co.Row, co.Col)
 				case int64(idx) != start[i+1]-start[i]:
 					// Meaningful for v3, where the block headers carry their
 					// own tuple counts; fixed-width codecs satisfy this by

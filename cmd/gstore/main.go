@@ -28,12 +28,12 @@ import (
 	"time"
 
 	gstore "github.com/gwu-systems/gstore"
+	"github.com/gwu-systems/gstore/cmd/internal/engineflags"
 	"github.com/gwu-systems/gstore/internal/algo"
 	"github.com/gwu-systems/gstore/internal/core"
 	"github.com/gwu-systems/gstore/internal/delta"
 	"github.com/gwu-systems/gstore/internal/metrics"
 	"github.com/gwu-systems/gstore/internal/report"
-	"github.com/gwu-systems/gstore/internal/storage"
 	"github.com/gwu-systems/gstore/internal/tile"
 )
 
@@ -334,70 +334,16 @@ func cmdStats(args []string) error {
 	return nil
 }
 
-func engineFlags(fs *flag.FlagSet) func() core.Options {
-	mem := fs.Int64("memory", 0, "streaming+caching memory ceiling in bytes (default graph/4; the engine holds min(memory, 2 segments + tile data))")
-	seg := fs.Int64("segment", 0, "segment size in bytes (default memory/8)")
-	threads := fs.Int("threads", 0, "worker threads")
-	disks := fs.Int("disks", 8, "simulated SSD count")
-	bw := fs.Float64("bandwidth", 0, "per-disk bandwidth in bytes/s (0 = unthrottled; -backend sim: per disk, file: aggregate)")
-	backend := fs.String("backend", "sim", "storage backend: sim (simulated striped array) or file (real async reads)")
-	direct := fs.Bool("direct", false, "with -backend file, bypass the page cache (O_DIRECT; falls back to buffered where unsupported)")
-	ioworkers := fs.Int("ioworkers", 0, "with -backend file, submitter goroutine count (0 = default 4)")
-	readahead := fs.Int64("readahead", 0, "with -backend file, next-iteration readahead budget in bytes (0 = default 8MiB, negative disables)")
-	policy := fs.String("cache", "proactive", "cache policy: proactive, lru, none")
-	sync := fs.Bool("syncio", false, "use synchronous reads instead of batched AIO")
-	trace := fs.Bool("trace", false, "print one diagnostic line per iteration")
-	retries := fs.Int("retries", 3, "max re-submissions of a failed read before the run fails")
-	faultRate := fs.Float64("faultrate", 0, "injected read-error probability in [0,1]")
-	faultShort := fs.Float64("faultshort", 0, "injected short-read probability in [0,1]")
-	faultSlow := fs.Float64("faultslow", 0, "injected latency-spike probability in [0,1]")
-	faultDelay := fs.Duration("faultdelay", time.Millisecond, "injected latency-spike length")
-	faultCorrupt := fs.Float64("faultcorrupt", 0, "injected silent-corruption probability in [0,1]")
-	faultSeed := fs.Int64("faultseed", 1, "fault injection seed")
-	return func() core.Options {
-		o := core.DefaultOptions()
-		if *mem > 0 {
-			o.MemoryBytes = *mem
+// reach counts the vertices a BFS reached and its deepest level.
+func reach(depths []int32) (reached int, maxDepth int32) {
+	maxDepth = -1
+	for _, d := range depths {
+		if d >= 0 {
+			reached++
+			maxDepth = max(maxDepth, d)
 		}
-		if *seg > 0 {
-			o.SegmentSize = *seg
-		} else {
-			o.SegmentSize = o.MemoryBytes / 8
-		}
-		if *threads > 0 {
-			o.Threads = *threads
-		}
-		o.Disks = *disks
-		o.Bandwidth = *bw
-		o.Backend = *backend
-		o.DirectIO = *direct
-		o.IOWorkers = *ioworkers
-		o.ReadaheadBytes = *readahead
-		o.SyncIO = *sync
-		o.MaxRetries = *retries
-		if *faultRate > 0 || *faultShort > 0 || *faultSlow > 0 || *faultCorrupt > 0 {
-			o.Fault = &storage.FaultConfig{
-				Seed:        *faultSeed,
-				ErrorRate:   *faultRate,
-				ShortRate:   *faultShort,
-				SlowRate:    *faultSlow,
-				SlowDelay:   *faultDelay,
-				CorruptRate: *faultCorrupt,
-			}
-		}
-		if *trace {
-			o.Trace = os.Stderr
-		}
-		switch *policy {
-		case "lru":
-			o.Cache = core.CacheLRU
-		case "none":
-			o.Cache = core.CacheNone
-		default:
-			o.Cache = core.CacheProactive
-		}
-		return o
 	}
+	return reached, maxDepth
 }
 
 // runMultiBFS co-schedules one BFS per root on the engine's shared
@@ -431,16 +377,7 @@ func runMultiBFS(ctx context.Context, g *gstore.Graph, e *core.Engine, rootList 
 		if res.err != nil {
 			return fmt.Errorf("bfs root %d: %w", r, res.err)
 		}
-		reached := 0
-		maxDepth := int32(-1)
-		for _, d := range runs[i].Depths() {
-			if d >= 0 {
-				reached++
-				if d > maxDepth {
-					maxDepth = d
-				}
-			}
-		}
+		reached, maxDepth := reach(runs[i].Depths())
 		st := res.st
 		totalBytes += st.BytesRead
 		totalReqs += st.IORequests
@@ -463,7 +400,7 @@ func cmdRun(alg string, args []string) error {
 	iters := fs.Int("iters", 10, "PageRank iterations")
 	topN := fs.Int("top", 5, "results to print")
 	dumpMetrics := fs.Bool("metrics", false, "print final counters in Prometheus text format on stderr")
-	opts := engineFlags(fs)
+	opts := engineflags.Register(fs, 0)
 	fs.Parse(args)
 	if *path == "" {
 		return fmt.Errorf("%s: -graph is required", alg)
@@ -491,22 +428,13 @@ func cmdRun(alg string, args []string) error {
 	}
 	defer g.Close()
 	o := opts()
-	if fs.Lookup("memory").Value.String() == "0" {
-		// Default to the paper's semi-external regime: a quarter of the
-		// graph's data size, an eighth of that per segment.
-		o.MemoryBytes = g.DataBytes() / 4
-		if o.MemoryBytes < 1<<20 {
-			o.MemoryBytes = 1 << 20
-		}
-		if fs.Lookup("segment").Value.String() == "0" {
-			o.SegmentSize = o.MemoryBytes / 8
-		}
-	}
 	if len(rootList) > 1 {
 		// Co-schedule one BFS per root through the shared sweep: the
-		// scheduler admits all of them into one batch, so the tile stream
-		// is fetched once per iteration and fanned out to every search.
+		// scheduler admits up to 64 of them into one batch, so the tile
+		// stream is fetched once per iteration and fanned out to every
+		// search; the queue holds the rest until a slot frees.
 		o.MaxConcurrentRuns = len(rootList)
+		o.MaxQueuedRuns = len(rootList)
 	}
 	e, err := core.NewEngine(g, o)
 	if err != nil {
@@ -541,16 +469,7 @@ func cmdRun(alg string, args []string) error {
 		if st, err = e.Run(ctx, run); err != nil {
 			return err
 		}
-		reached := 0
-		maxDepth := int32(-1)
-		for _, d := range run.Depths() {
-			if d >= 0 {
-				reached++
-				if d > maxDepth {
-					maxDepth = d
-				}
-			}
-		}
+		reached, maxDepth := reach(run.Depths())
 		fmt.Printf("%s: reached %d of %d vertices, max depth %d, %.1f MTEPS\n",
 			alg, reached, g.Meta.NumVertices, maxDepth, st.MTEPS(2*g.Meta.NumOriginal))
 	case "pagerank":

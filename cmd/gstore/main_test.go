@@ -112,6 +112,35 @@ func TestCLIEndToEnd(t *testing.T) {
 			t.Fatalf("%s output: %s", alg, out)
 		}
 	}
+	// More roots than one shared batch (64) and the default queue (64)
+	// hold together: the queue is sized to the roots, so every root runs.
+	var roots []string
+	for r := 0; r < 130; r++ {
+		roots = append(roots, fmt.Sprint(r))
+	}
+	out = run(gstoreBin, "bfs", "-graph", "./k", "-roots", strings.Join(roots, ","))
+	lines := 0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "bfs root ") {
+			lines++
+		}
+	}
+	if lines != 130 {
+		t.Fatalf("bfs -roots with 130 roots printed %d root lines, want 130:\n%s", lines, out)
+	}
+
+	// A negative engine count is a usage error naming the flag, not a
+	// silent default.
+	for _, flagName := range []string{"-memory", "-threads"} {
+		cmd := exec.Command(gstoreBin, "bfs", "-graph", "./k", flagName, "-3")
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), flagName) {
+			t.Fatalf("gstore bfs %s -3: err=%v, want exit 2 naming the flag\n%s", flagName, err, out)
+		}
+	}
+
 	out = run(gstoreBin, "pagerank", "-graph", "./k", "-iters", "3")
 	if !strings.Contains(out, "top vertices") {
 		t.Fatalf("pagerank output: %s", out)

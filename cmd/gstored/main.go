@@ -4,7 +4,12 @@
 //
 // Usage:
 //
-//	gstored -listen :8080 -graph social=data/twitter -graph web=data/crawl
+//	gstored -listen :8080 -graph social=data/twitter -graph web=data/crawl [engine flags]
+//
+// The engine flags (-memory, -backend, -cache, -retries, the fault flags,
+// ...) are gstore's, from package engineflags; -memory defaults to a
+// fixed 64 MiB per graph here. The flags declared below are the
+// daemon's own: listening, timeouts, scheduling, result cache, quotas.
 //
 // Endpoints: GET /healthz (liveness), GET /readyz (readiness: 503 with
 // status no_graphs|wal_failed|shutting_down until graphs are open, write
@@ -49,9 +54,8 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/gwu-systems/gstore/internal/core"
+	"github.com/gwu-systems/gstore/cmd/internal/engineflags"
 	"github.com/gwu-systems/gstore/internal/server"
-	"github.com/gwu-systems/gstore/internal/storage"
 )
 
 type graphFlags []string
@@ -65,27 +69,15 @@ func (g *graphFlags) Set(v string) error {
 func main() {
 	var graphs graphFlags
 	listen := flag.String("listen", ":8080", "listen address")
-	mem := flag.Int64("memory", 64<<20, "per-graph streaming+caching memory ceiling in bytes (the engine holds min(memory, 2 segments + tile data))")
-	seg := flag.Int64("segment", 0, "segment size in bytes (default memory/8)")
-	threads := flag.Int("threads", 0, "worker threads per graph")
+	engineOpts := engineflags.Register(flag.CommandLine, engineflags.ServedMemory)
 	maxRuns := flag.Int("maxruns", 8, "concurrent algorithm runs co-scheduled per graph (1-64)")
 	queueLen := flag.Int("queue", 64, "runs queued per graph beyond -maxruns before 429s")
 	qcacheBytes := flag.Int64("qcache-bytes", 64<<20, "personalized-query result cache budget in bytes, charged per entry at its declared summary size (0 disables)")
 	qcacheTTL := flag.Duration("qcache-ttl", time.Minute, "result cache entry TTL")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a GET bfs root that finds the engine busy waits for company to fuse into one msbfs run (an idle engine runs it at once; 0 disables)")
 	tenantMax := flag.Int("tenant-maxruns", 0, "max concurrent runs per ?tenant= label (0 = unlimited)")
-	disks := flag.Int("disks", 8, "simulated SSD count")
-	bw := flag.Float64("bandwidth", 0, "per-disk bandwidth in bytes/s (0 = unthrottled; -backend sim: per disk, file: aggregate)")
-	backend := flag.String("backend", "sim", "storage backend: sim (simulated striped array) or file (real async reads)")
-	direct := flag.Bool("direct", false, "with -backend file, bypass the page cache (O_DIRECT; falls back to buffered where unsupported)")
-	ioworkers := flag.Int("ioworkers", 0, "with -backend file, submitter goroutine count (0 = default 4)")
-	readahead := flag.Int64("readahead", 0, "with -backend file, next-iteration readahead budget in bytes (0 = default 8MiB, negative disables)")
 	pprofOn := flag.Bool("pprof", true, "serve net/http/pprof under /debug/pprof/")
 	readOnly := flag.Bool("readonly", false, "serve without the write path: no WAL recovery, POST /edges refused")
-	faultRate := flag.Float64("faultrate", 0, "injected read-error probability in [0,1]")
-	faultShort := flag.Float64("faultshort", 0, "injected short-read probability in [0,1]")
-	faultCorrupt := flag.Float64("faultcorrupt", 0, "injected silent-corruption probability in [0,1]")
-	faultSeed := flag.Int64("faultseed", 1, "fault injection seed")
 	readHeaderTO := flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
 	readTO := flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
 	idleTO := flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout")
@@ -115,33 +107,10 @@ func main() {
 		if !ok {
 			log.Fatalf("gstored: bad -graph %q, want name=path", spec)
 		}
-		opts := core.DefaultOptions()
-		opts.MemoryBytes = *mem
-		if *seg > 0 {
-			opts.SegmentSize = *seg
-		} else {
-			opts.SegmentSize = opts.MemoryBytes / 8
-		}
-		if *threads > 0 {
-			opts.Threads = *threads
-		}
+		opts := engineOpts()
 		opts.MaxConcurrentRuns = *maxRuns
 		opts.MaxQueuedRuns = *queueLen
 		opts.BatchWindow = *batchWindow
-		opts.Disks = *disks
-		opts.Bandwidth = *bw
-		opts.Backend = *backend
-		opts.DirectIO = *direct
-		opts.IOWorkers = *ioworkers
-		opts.ReadaheadBytes = *readahead
-		if *faultRate > 0 || *faultShort > 0 || *faultCorrupt > 0 {
-			opts.Fault = &storage.FaultConfig{
-				Seed:        *faultSeed,
-				ErrorRate:   *faultRate,
-				ShortRate:   *faultShort,
-				CorruptRate: *faultCorrupt,
-			}
-		}
 		if err := srv.AddGraph(name, path, opts); err != nil {
 			log.Fatalf("gstored: loading %s: %v", spec, err)
 		}

@@ -51,7 +51,6 @@ func main() {
 
 	eopts := gstore.DefaultEngineOptions()
 	eopts.MemoryBytes = g.DataBytes()/2 + 1<<20
-	eopts.SegmentSize = eopts.MemoryBytes / 8
 	eng, err := gstore.NewEngine(g, eopts)
 	if err != nil {
 		log.Fatal(err)

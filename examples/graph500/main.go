@@ -43,7 +43,6 @@ func main() {
 
 	eopts := gstore.DefaultEngineOptions()
 	eopts.MemoryBytes = g.DataBytes()/4 + 1<<20
-	eopts.SegmentSize = eopts.MemoryBytes / 8
 	eng, err := gstore.NewEngine(g, eopts)
 	if err != nil {
 		log.Fatal(err)

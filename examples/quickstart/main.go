@@ -47,7 +47,6 @@ func main() {
 	// 3. An engine with a memory budget of a quarter of the graph.
 	eopts := gstore.DefaultEngineOptions()
 	eopts.MemoryBytes = g.DataBytes() / 4
-	eopts.SegmentSize = eopts.MemoryBytes / 8
 	eng, err := gstore.NewEngine(g, eopts)
 	if err != nil {
 		log.Fatal(err)

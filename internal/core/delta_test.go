@@ -128,15 +128,28 @@ func TestMutateThenQueryMatchesFreshConversion(t *testing.T) {
 		}
 	}
 
-	// WCC: exact labels.
-	wm, wf := algo.NewWCC(), algo.NewWCC()
-	if _, err := em.Run(context.Background(), wm); err != nil {
-		t.Fatal(err)
-	}
+	// WCC: exact labels, under every cache policy: the delta-only tile
+	// rides the rewind even when the base policy leaves the pool empty.
+	wf := algo.NewWCC()
 	runAlg(t, fresh, smallOpts(), wf)
-	for v := range wm.Labels() {
-		if wm.Labels()[v] != wf.Labels()[v] {
-			t.Fatalf("WCC label[%d]: mutated %d, fresh %d", v, wm.Labels()[v], wf.Labels()[v])
+	for _, policy := range []CachePolicy{CacheProactive, CacheNone} {
+		opts := smallOpts()
+		opts.Cache = policy
+		e, err := NewEngine(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetDeltaStore(ds)
+		wm := algo.NewWCC()
+		_, err = e.Run(context.Background(), wm)
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range wm.Labels() {
+			if wm.Labels()[v] != wf.Labels()[v] {
+				t.Fatalf("%v: WCC label[%d]: mutated %d, fresh %d", policy, v, wm.Labels()[v], wf.Labels()[v])
+			}
 		}
 	}
 

@@ -74,9 +74,8 @@ type Engine struct {
 	wg   sync.WaitGroup
 	// groups count the outstanding work items of the (at most two)
 	// segments whose chunks are on the work queue: segment k uses
-	// groups[k&1], as it uses one of the two streaming buffers. The rewind
-	// and delta-only passes, which finish before the slide starts, borrow
-	// groups[0].
+	// groups[k&1], as it uses one of the two streaming buffers. The rewind,
+	// which finishes before the slide starts, borrows groups[0].
 	groups [2]workGroup
 	// codec is the graph's tuple codec, resolved once: the engine hands it
 	// to the tile package's splitter, decoder and frame validator and to
@@ -317,6 +316,11 @@ type workerStat struct {
 // what g can use: min(MemoryBytes, two segments + g.DataBytes()). Close
 // releases both.
 func NewEngine(g *tile.Graph, opts Options) (*Engine, error) {
+	if opts.MemoryBytes == 0 {
+		// The paper's semi-external regime: the graph is four times the
+		// budget.
+		opts.MemoryBytes = max(g.DataBytes()/4, 1<<20)
+	}
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
@@ -772,6 +776,10 @@ type sweepScratch struct {
 	masks     []uint64
 	fetch     []int
 	fetchMask []uint64
+	// deltaOnly holds the needed tiles with delta data and no base
+	// tuples (and deltaOnlyMask their interest masks): nothing to fetch.
+	deltaOnly     []int
+	deltaOnlyMask []uint64
 	// inCache[i] == epoch marks tile i as served by this iteration's
 	// rewind; bumping epoch clears every mark at once.
 	inCache []uint32
@@ -811,9 +819,9 @@ func (sc *sweepScratch) nextPlan() *segmentPlan {
 }
 
 // sweepIteration performs one shared SCR iteration for a batch of runs:
-// union selective-fetch planning, rewind over the cache pool (each cached
-// tile dispatched once per interested run), then the slide over the union
-// of the remaining tiles.
+// union selective-fetch planning, rewind over the cache pool and the
+// delta-only tiles (each dispatched once per interested run), then the
+// slide over the union of the remaining tiles.
 //
 // It returns nil on success, errBatchDone when every run finished
 // (canceled) mid-sweep, or a sweep-fatal error (storage or integrity
@@ -825,38 +833,39 @@ func (e *Engine) sweepIteration(batch []*runState) error {
 	if e.deltaStore != nil {
 		sc.view = e.deltaStore.View()
 	}
-	sc.needed = sc.needed[:0]
-	sc.masks = sc.masks[:0]
+	sc.needed, sc.masks = sc.needed[:0], sc.masks[:0]
+	sc.deltaOnly, sc.deltaOnlyMask = sc.deltaOnly[:0], sc.deltaOnlyMask[:0]
 	for i := 0; i < layout.NumTiles(); i++ {
-		if e.g.TupleCount(i) == 0 {
+		base := e.g.TupleCount(i) != 0
+		if !base && sc.view.Tile(i) == nil {
 			continue
 		}
 		c := layout.CoordAt(i)
-		var mask uint64
-		for j, r := range batch {
-			if r.finished {
-				continue
-			}
-			if e.opts.Selective && !r.alg.NeedTileThisIter(c.Row, c.Col) {
-				r.stats.TilesSkipped++
-				continue
-			}
-			mask |= 1 << uint(j)
+		mask := e.interest(batch, c.Row, c.Col)
+		switch {
+		case mask == 0:
+		case base:
+			sc.needed = append(sc.needed, i)
+			sc.masks = append(sc.masks, mask)
+		default:
+			sc.deltaOnly = append(sc.deltaOnly, i)
+			sc.deltaOnlyMask = append(sc.deltaOnlyMask, mask)
 		}
-		if mask == 0 {
-			continue
-		}
-		sc.needed = append(sc.needed, i)
-		sc.masks = append(sc.masks, mask)
 	}
 
-	// Rewind (§VI-D): process everything already cached before any I/O.
+	// Rewind (§VI-D): process everything already in memory before any
+	// I/O — the pooled tiles, and the delta-only tiles, which hold
+	// inserted edges in tiles the base graph left empty.
 	if sc.epoch++; sc.epoch == 0 { // wrapped: stale marks could match again
 		clear(sc.inCache)
 		sc.epoch = 1
 	}
-	grp := &e.groups[0]
-	if cached := e.mm.CachedTiles(); e.opts.Cache != CacheNone && len(cached) > 0 {
+	cached := e.mm.CachedTiles()
+	if e.opts.Cache == CacheNone {
+		cached = nil
+	}
+	if len(cached) > 0 || len(sc.deltaOnly) > 0 {
+		grp := &e.groups[0]
 		grp.begin()
 		cs := time.Now()
 		var err error
@@ -870,45 +879,12 @@ func (e *Engine) sweepIteration(batch []*runState) error {
 				break
 			}
 		}
-		if werr := grp.finish(); err == nil {
-			err = werr
-		}
-		el := time.Since(cs)
-		statEach(batch, func(st *Stats) { st.Compute += el })
-		if err != nil {
-			return err
-		}
-	}
-
-	// Delta-only tiles hold inserted edges in tiles the base graph left
-	// empty; there is nothing to fetch for them, so they are dispatched
-	// here alongside the rewind (their data is wholly in memory).
-	if v := sc.view; v.NumTiles() > 0 {
-		grp.begin()
-		cs := time.Now()
-		var err error
-		for _, di := range v.TileIndexes() {
-			if e.g.TupleCount(di) != 0 {
-				continue // merged on the rewind/slide paths
-			}
-			c := layout.CoordAt(di)
-			var mask uint64
-			for j, r := range batch {
-				if r.finished {
-					continue
-				}
-				if e.opts.Selective && !r.alg.NeedTileThisIter(c.Row, c.Col) {
-					r.stats.TilesSkipped++
-					continue
-				}
-				mask |= 1 << uint(j)
-			}
-			if mask == 0 {
-				continue
-			}
-			if err = e.dispatchTile(batch, mask, mem.TileRef{DiskIdx: di, Row: c.Row, Col: c.Col}, 0, grp, nil, nil); err != nil {
+		for k, di := range sc.deltaOnly {
+			if err != nil {
 				break
 			}
+			c := layout.CoordAt(di)
+			err = e.dispatchTile(batch, sc.deltaOnlyMask[k], mem.TileRef{DiskIdx: di, Row: c.Row, Col: c.Col}, 0, grp, nil, nil)
 		}
 		if werr := grp.finish(); err == nil {
 			err = werr
@@ -933,6 +909,24 @@ func (e *Engine) sweepIteration(batch []*runState) error {
 	}
 	e.hintReadahead(batch)
 	return nil
+}
+
+// interest returns the mask of batch's live runs that need tile (row,
+// col) this iteration, charging a skipped tile to each live run that does
+// not.
+func (e *Engine) interest(batch []*runState, row, col uint32) uint64 {
+	var mask uint64
+	for j, r := range batch {
+		if r.finished {
+			continue
+		}
+		if e.opts.Selective && !r.alg.NeedTileThisIter(row, col) {
+			r.stats.TilesSkipped++
+			continue
+		}
+		mask |= 1 << uint(j)
+	}
+	return mask
 }
 
 // hintReadahead advises the storage device about the tiles the next

@@ -333,8 +333,23 @@ func TestStatsMTEPS(t *testing.T) {
 
 func TestOptionsNormalize(t *testing.T) {
 	o := Options{SegmentSize: 0, MemoryBytes: 100}
+	if err := o.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if o.SegmentSize != 12 {
+		t.Fatalf("zero segment size should derive memory/8 = 12, got %d", o.SegmentSize)
+	}
+	o = Options{SegmentSize: -1, MemoryBytes: 100}
 	if err := o.normalize(); err == nil {
-		t.Fatal("zero segment size accepted")
+		t.Fatal("negative segment size accepted")
+	}
+	o = Options{SegmentSize: 0, MemoryBytes: -100}
+	if err := o.normalize(); err == nil {
+		t.Fatal("negative memory accepted")
+	}
+	o = Options{SegmentSize: 0, MemoryBytes: 7}
+	if err := o.normalize(); err == nil {
+		t.Fatal("memory too small for a segment accepted")
 	}
 	o = Options{SegmentSize: 100, MemoryBytes: 100}
 	if err := o.normalize(); err == nil {
@@ -349,6 +364,40 @@ func TestOptionsNormalize(t *testing.T) {
 	}
 	if o.Threads <= 0 || o.chunkBytes <= 0 || o.retryBackoff <= 0 || o.Disks <= 0 {
 		t.Fatalf("defaults not applied: %+v", o)
+	}
+}
+
+// TestNewEngineDerivesMemory: a zero budget is the paper's semi-external
+// regime, a quarter of the graph's tile bytes with a 1 MiB floor, and a
+// zero segment an eighth of the budget.
+func TestNewEngineDerivesMemory(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		g         *tile.Graph
+		wantLarge bool
+	}{
+		{"small", convertCodec(t, kron(t, 13, 8, 3), 6, 4, "raw"), false},
+		{"large", convertCodec(t, kron(t, 16, 10, 3), 8, 16, "raw"), true},
+	} {
+		data := tc.g.DataBytes()
+		if large := data/4 > 1<<20; large != tc.wantLarge {
+			t.Fatalf("%s: graph has %d tile bytes, want large=%v", tc.name, data, tc.wantLarge)
+		}
+		e, err := NewEngine(tc.g, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := int64(1 << 20)
+		if tc.wantLarge {
+			budget = data / 4
+		}
+		seg := budget / 8
+		pool := min(budget-2*seg, data)
+		if e.mm.SegmentSize() != seg || e.mm.PoolCap() != pool {
+			t.Errorf("%s (%d tile bytes): segments %d, pool %d; want %d and %d from a %d-byte budget",
+				tc.name, data, e.mm.SegmentSize(), e.mm.PoolCap(), seg, pool, budget)
+		}
+		e.Close()
 	}
 }
 

@@ -59,12 +59,15 @@ func (p CachePolicy) String() string {
 type Options struct {
 	// MemoryBytes is the memory budget for streaming and caching graph
 	// data (the paper reserves 8 GB; experiments here scale it to the
-	// graph). It is a ceiling: NewEngine caps the cache pool and each
-	// segment at the graph's tile bytes, so a small graph under a large
-	// budget holds min(MemoryBytes, 2 segments + tile data).
+	// graph). Zero selects the paper's semi-external regime: a quarter of
+	// the graph's tile bytes, at least 1 MiB. It is a ceiling: NewEngine
+	// caps the cache pool and each segment at the graph's tile bytes, so
+	// a small graph under a large budget holds min(MemoryBytes,
+	// 2 segments + tile data).
 	MemoryBytes int64
 	// SegmentSize is the size of each of the two streaming segments
-	// (paper: 256 MB), capped like MemoryBytes.
+	// (paper: 256 MB), capped like MemoryBytes. Zero selects
+	// MemoryBytes/8.
 	SegmentSize int64
 	// Threads processes tiles concurrently (paper: OpenMP dynamic
 	// scheduling over rows). Defaults to GOMAXPROCS.
@@ -175,11 +178,10 @@ type HDDTier struct {
 
 // DefaultOptions returns a configuration mirroring the paper's setup,
 // scaled for reproduction machines: 64 MB of streaming+caching memory
-// with 8 MB segments over an unthrottled 8-disk array.
+// (so 8 MB segments) over an unthrottled 8-disk array.
 func DefaultOptions() Options {
 	return Options{
 		MemoryBytes: 64 << 20,
-		SegmentSize: 8 << 20,
 		Threads:     runtime.GOMAXPROCS(0),
 		Selective:   true,
 		Cache:       CacheProactive,
@@ -240,10 +242,13 @@ func (o *Options) normalize() error {
 			o.HDD.Disks = 1
 		}
 	}
-	if o.Cache == CacheNone {
+	switch {
+	case o.Cache == CacheNone:
 		// Without a pool the whole budget belongs to the double buffer,
 		// as in the paper's base policy.
 		o.SegmentSize = o.MemoryBytes / 2
+	case o.SegmentSize == 0:
+		o.SegmentSize = o.MemoryBytes / 8
 	}
 	if o.SegmentSize <= 0 {
 		return fmt.Errorf("core: segment size %d must be positive", o.SegmentSize)

@@ -71,11 +71,12 @@ func BenchmarkRunHotLoopAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkRunHotLoopAllocsMerged measures the base∪delta merge path:
-// a v3 graph with a delta layer whose ops are re-toggled every Run, so
-// each iteration decodes and re-merges dirty tiles instead of hitting
-// the merge memo. The merge-key scratch is pooled; allocs/op here is
-// the regression guard for that pool.
+// BenchmarkRunHotLoopAllocsMerged measures the base∪delta read path: a
+// v3 graph with a delta layer whose ops are re-toggled every Run, so each
+// Run reads freshly mutated tiles. Reads mask and add edges as they
+// decode and allocate nothing per mutated tile, so allocs/op here is
+// Apply's plus a plain Run's (TestDeltaReadAllocsMatchPristine pins the
+// difference).
 func BenchmarkRunHotLoopAllocsMerged(b *testing.B) {
 	el, err := gen.Generate(gen.Graph500Config(11, 8, 77))
 	if err != nil {
@@ -116,8 +117,8 @@ func BenchmarkRunHotLoopAllocsMerged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Toggle between inserted and deleted so every Run sees dirty
-		// tiles and the merge memo never short-circuits the decode.
+		// Toggle between inserted and deleted so every Run sees a new
+		// view with dirty tiles.
 		for j := range ops {
 			ops[j].Del = i%2 == 0
 		}

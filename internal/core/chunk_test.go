@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/gwu-systems/gstore/internal/algo"
+	"github.com/gwu-systems/gstore/internal/delta"
 	"github.com/gwu-systems/gstore/internal/gen"
 	"github.com/gwu-systems/gstore/internal/graph"
 	"github.com/gwu-systems/gstore/internal/tile"
@@ -22,24 +25,37 @@ var chunkSizes = []int64{-1, 4, 7, 64, 1 << 10, defaultChunkBytes}
 // in-memory references for every codec and chunk size: BFS-family, WCC
 // and SCC results exact, ranks within 1e-9. Every kernel is dispatched
 // in chunks, so at the small sizes batches of one tile race on four
-// workers — which is what -race is pointed at here.
+// workers — which is what -race is pointed at here. The undirected
+// kernels also run on a mutated graph (mutatedGraph), checked against
+// references over its final edge list: the masked positions its store's
+// loader recomputed are dropped view by view, and at chunk=4 they fall
+// in views other than the one that carries the tile's inserts.
 func TestChunkedEquivalence(t *testing.T) {
 	const iters = 10
 	el := kron(t, 10, 8, 21)
-	csr := graph.NewCSR(el, false)
 	del, err := gen.Generate(gen.TwitterLikeConfig(9, 8, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
 	roots := []uint32{0, 3, 77, 500, 1023}
-	wantDepth := make([][]int32, len(roots))
-	for i, r := range roots {
-		wantDepth[i] = graph.RefBFS(csr, graph.VertexID(r))
+	type refs struct {
+		depth   [][]int32
+		wcc     []graph.VertexID
+		pr, ppr []float64
 	}
-	wantWCC := graph.RefWCC(el)
+	refsOf := func(el *graph.EdgeList) *refs {
+		csr := graph.NewCSR(el, false)
+		r := &refs{
+			wcc: graph.RefWCC(el),
+			pr:  graph.RefPageRank(csr, graph.DefaultPageRank(iters)),
+			ppr: graph.RefPersonalizedPageRank(csr, 77, graph.DefaultPageRank(iters)),
+		}
+		for _, root := range roots {
+			r.depth = append(r.depth, graph.RefBFS(csr, graph.VertexID(root)))
+		}
+		return r
+	}
 	wantSCC := graph.RefSCC(del)
-	wantPR := graph.RefPageRank(csr, graph.DefaultPageRank(iters))
-	wantPPR := graph.RefPersonalizedPageRank(csr, 77, graph.DefaultPageRank(iters))
 
 	exact := func(t *testing.T, what string, got, want any) {
 		t.Helper()
@@ -59,27 +75,30 @@ func TestChunkedEquivalence(t *testing.T) {
 		name     string
 		directed bool
 		new      func() algo.Algorithm
-		check    func(t *testing.T, a algo.Algorithm)
+		check    func(t *testing.T, a algo.Algorithm, r *refs)
 	}{
 		{"bfs", false, func() algo.Algorithm { return algo.NewBFS(0) },
-			func(t *testing.T, a algo.Algorithm) { exact(t, "depths", a.(*algo.BFS).Depths(), wantDepth[0]) }},
+			func(t *testing.T, a algo.Algorithm, r *refs) { exact(t, "depths", a.(*algo.BFS).Depths(), r.depth[0]) }},
 		{"asyncbfs", false, func() algo.Algorithm { return algo.NewAsyncBFS(0) },
-			func(t *testing.T, a algo.Algorithm) { exact(t, "depths", a.(*algo.AsyncBFS).Depths(), wantDepth[0]) }},
+			func(t *testing.T, a algo.Algorithm, r *refs) {
+				exact(t, "depths", a.(*algo.AsyncBFS).Depths(), r.depth[0])
+			}},
 		{"msbfs", false, func() algo.Algorithm { return algo.NewMSBFS(roots) },
-			func(t *testing.T, a algo.Algorithm) {
+			func(t *testing.T, a algo.Algorithm, r *refs) {
 				for i := range roots {
-					exact(t, fmt.Sprintf("source #%d depths", i), a.(*algo.MSBFS).Depth(i), wantDepth[i])
+					exact(t, fmt.Sprintf("source #%d depths", i), a.(*algo.MSBFS).Depth(i), r.depth[i])
 				}
 			}},
 		{"wcc", false, func() algo.Algorithm { return algo.NewWCC() },
-			func(t *testing.T, a algo.Algorithm) { exact(t, "labels", a.(*algo.WCC).Labels(), wantWCC) }},
+			func(t *testing.T, a algo.Algorithm, r *refs) { exact(t, "labels", a.(*algo.WCC).Labels(), r.wcc) }},
 		{"scc", true, func() algo.Algorithm { return algo.NewSCC() },
-			func(t *testing.T, a algo.Algorithm) { exact(t, "labels", a.(*algo.SCC).Labels(), wantSCC) }},
+			func(t *testing.T, a algo.Algorithm, _ *refs) { exact(t, "labels", a.(*algo.SCC).Labels(), wantSCC) }},
 		{"pagerank", false, func() algo.Algorithm { return algo.NewPageRank(iters) },
-			func(t *testing.T, a algo.Algorithm) { ranks(t, a.(*algo.PageRank).Ranks(), wantPR) }},
+			func(t *testing.T, a algo.Algorithm, r *refs) { ranks(t, a.(*algo.PageRank).Ranks(), r.pr) }},
 		{"ppr", false, func() algo.Algorithm { return algo.NewPPR(77, iters) },
-			func(t *testing.T, a algo.Algorithm) { ranks(t, a.(*algo.PPR).Ranks(), wantPPR) }},
+			func(t *testing.T, a algo.Algorithm, r *refs) { ranks(t, a.(*algo.PPR).Ranks(), r.ppr) }},
 	}
+	want := refsOf(el)
 	for _, codec := range []string{"snb", "raw", "v3"} {
 		g := convertCodec(t, el, 6, 4, codec)
 		dg, err := tile.Convert(del, t.TempDir(), "d", tile.ConvertOptions{
@@ -89,25 +108,172 @@ func TestChunkedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { dg.Close() })
+		mg, ds, final := mutatedGraph(t, el, codec)
+		wantMut := refsOf(final)
+		inputs := []struct {
+			suffix string
+			g      *tile.Graph
+			ds     *delta.Store
+			want   *refs
+		}{{"", g, nil, want}, {"+delta", mg, ds, wantMut}}
 		for _, k := range kernels {
-			for _, cb := range chunkSizes {
-				t.Run(fmt.Sprintf("%s/%s/chunk=%d", k.name, codec, cb), func(t *testing.T) {
-					opts := smallOpts()
-					opts.chunkBytes = cb
-					a := k.new()
-					kg := g
-					if k.directed {
-						kg = dg
-					}
-					st := runAlg(t, kg, opts, a)
-					k.check(t, a)
-					if cb == 4 && st.Chunks <= st.TilesProcessed {
-						t.Fatalf("Chunks = %d not above TilesProcessed = %d", st.Chunks, st.TilesProcessed)
-					}
-				})
+			for _, in := range inputs {
+				if k.directed && in.ds != nil {
+					continue
+				}
+				for _, cb := range chunkSizes {
+					t.Run(fmt.Sprintf("%s/%s%s/chunk=%d", k.name, codec, in.suffix, cb), func(t *testing.T) {
+						opts := smallOpts()
+						opts.chunkBytes = cb
+						a := k.new()
+						kg := in.g
+						if k.directed {
+							kg = dg
+						}
+						st := runAlgDelta(t, kg, in.ds, opts, a)
+						k.check(t, a, in.want)
+						if cb == 4 && st.Chunks <= st.TilesProcessed {
+							t.Fatalf("Chunks = %d not above TilesProcessed = %d", st.Chunks, st.TilesProcessed)
+						}
+						var sum int64
+						for _, c := range st.WorkerChunks {
+							sum += c
+						}
+						if sum != st.Chunks {
+							t.Fatalf("sum(WorkerChunks) = %d, want Chunks = %d", sum, st.Chunks)
+						}
+						if in.ds != nil && st.DeltaTiles == 0 {
+							t.Fatal("no tile was read with its delta")
+						}
+					})
+				}
 			}
 		}
 	}
+}
+
+// mutatedGraph converts el in codec and mutates it through a delta store:
+// deletes of base edges the graph holds twice, inserts of absent edges
+// and, in a later batch, re-inserts of some deleted edges. It then
+// flushes and reopens the store, so the loader recomputes the masked
+// positions, and checks that at 4-byte chunks some tile's masked tuples
+// fall in more than one view. It returns the graph, the reopened store
+// and the final edge list.
+func mutatedGraph(t *testing.T, el *graph.EdgeList, codec string) (*tile.Graph, *delta.Store, *graph.EdgeList) {
+	t.Helper()
+	g := convertCodec(t, el, 6, 4, codec)
+	count := make(map[uint64]int)
+	for _, e := range el.Edges {
+		count[canonKey(e.Src, e.Dst)]++
+	}
+	var twice []uint64
+	for k, c := range count {
+		if c == 2 && uint32(k>>32) != uint32(k) {
+			twice = append(twice, k)
+		}
+	}
+	slices.Sort(twice)
+	var dels, reins, ins []delta.Op
+	for i := 0; i < len(twice) && len(dels) < 40; i += max(1, len(twice)/40) {
+		k := twice[i]
+		dels = append(dels, delta.Op{Del: true, Src: uint32(k), Dst: uint32(k >> 32)})
+		if len(dels)%4 == 0 {
+			reins = append(reins, delta.Op{Src: uint32(k >> 32), Dst: uint32(k)})
+		}
+	}
+	nv := el.NumVertices
+	for x := uint32(1); len(ins) < 40; x += 2654435761 % nv {
+		s, d := x%nv, (x*31+7)%nv
+		if k := canonKey(s, d); s != d && count[k] == 0 {
+			count[k] = -1 // not drawn twice
+			ins = append(ins, delta.Op{Src: s, Dst: d})
+		}
+	}
+	ds, err := delta.Open(g, g.BasePath(), delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]delta.Op{dels, ins, reins}
+	for _, b := range batches {
+		if _, err := ds.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = delta.Open(g, g.BasePath(), delta.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+
+	for _, b := range batches {
+		for _, op := range b {
+			k := canonKey(op.Src, op.Dst)
+			if count[k] = 1; op.Del {
+				count[k] = 0
+			}
+		}
+	}
+	final := &graph.EdgeList{NumVertices: nv}
+	for k, c := range count {
+		for range c {
+			final.Edges = append(final.Edges, graph.Edge{Src: uint32(k >> 32), Dst: uint32(k)})
+		}
+	}
+
+	straddles := false
+	v := ds.View()
+	for _, di := range v.TileIndexes() {
+		data, err := g.ReadTile(di, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := map[int]bool{}
+		first := 0
+		masked, err := v.Tile(di).Masked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, view := range tile.SplitViews(nil, data, g.Meta.TupleCodec(), 4) {
+			n, err := tile.Tuples(view, g.Meta.TupleCodec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range masked {
+				if p >= first && p < first+n {
+					views[i] = true
+				}
+			}
+			first += n
+		}
+		straddles = straddles || len(views) > 1
+	}
+	if !straddles {
+		t.Fatalf("%s: no tile has masked tuples in more than one 4-byte-chunk view", codec)
+	}
+	return g, ds, final
+}
+
+// runAlgDelta is runAlg on an engine with ds (nil: none) attached.
+func runAlgDelta(t *testing.T, g *tile.Graph, ds *delta.Store, opts Options, a algo.Algorithm) *Stats {
+	t.Helper()
+	e, err := NewEngine(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if ds != nil {
+		e.SetDeltaStore(ds)
+	}
+	st, err := e.Run(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // The per-run worker accounting must be self-consistent: one entry per

@@ -216,3 +216,57 @@ func TestDeltaVisibleBetweenRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaReadAllocsMatchPristine pins that a mutated tile is read in
+// edge space, with no buffer per tile: applying a toggling batch to the
+// attached store and running PageRank(2) must allocate within a small
+// constant of the same Apply on a store the engine does not read followed
+// by a run on the pristine graph.
+func TestDeltaReadAllocsMatchPristine(t *testing.T) {
+	el := kron(t, 11, 8, 77)
+	step := func(attached bool) func() {
+		g := convertCodec(t, el, 6, 4, "v3")
+		ds, err := delta.Open(g, g.BasePath(), delta.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		e, err := NewEngine(g, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		if attached {
+			e.SetDeltaStore(ds)
+		}
+		// Edges spread across the vertex range so many tiles carry deltas.
+		nv := g.Meta.NumVertices
+		ops := make([]delta.Op, 128)
+		for i := range ops {
+			ops[i] = delta.Op{Src: uint32(i*131) % nv, Dst: uint32(i*197+7) % nv}
+		}
+		i := 0
+		return func() {
+			for j := range ops {
+				ops[j].Del = i%2 == 0
+			}
+			i++
+			if _, err := ds.Apply(ops); err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.Run(context.Background(), algo.NewPageRank(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attached && st.DeltaTiles == 0 {
+				t.Fatal("no tile was read with its delta")
+			}
+		}
+	}
+	mutated := testing.AllocsPerRun(20, step(true))
+	pristine := testing.AllocsPerRun(20, step(false))
+	t.Logf("allocs per Apply+Run: %.0f read through the delta, %.0f pristine", mutated, pristine)
+	if mutated > pristine+8 {
+		t.Fatalf("reading through the delta allocates %.0f per Apply+Run, the pristine graph %.0f", mutated, pristine)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,11 +58,10 @@ type Engine struct {
 	mm    *mem.Manager
 
 	// deltaStore, when set, layers WAL-backed mutations over the base
-	// graph: every dispatched tile is merged with the store's current
-	// view (deleted edges masked, inserted edges appended) and degree
-	// queries see the overlay. The base tile files — and with them the
-	// cache pool, checksums, and selective-fetch planning — stay
-	// untouched.
+	// graph: every dispatched tile is read with the store's current view
+	// (deleted edges masked, inserted edges added) and degree queries see
+	// the overlay. The base tile files — and with them the cache pool,
+	// checksums, and selective-fetch planning — stay untouched.
 	deltaStore *delta.Store
 
 	// degrees is the graph's degree file, read and verified by the first
@@ -78,8 +78,8 @@ type Engine struct {
 	// which finishes before the slide starts, borrows groups[0].
 	groups [2]workGroup
 	// codec is the graph's tuple codec, resolved once: the engine hands it
-	// to the tile package's splitter, decoder and frame validator and to
-	// the delta merge, and never looks inside it.
+	// to the tile package's splitter, counter, decoder and frame
+	// validator, and never looks inside it.
 	codec   tile.Codec
 	workers []workerStat
 
@@ -236,13 +236,16 @@ func statEach(batch []*runState, f func(*Stats)) {
 // workItem is one unit of compute: one view of a tile's data (the whole
 // tile, or one independently decodable chunk of it) for one run. The
 // algorithm travels with the item so concurrent Run teardown can never
-// leave a worker reading a stale engine-level field.
+// leave a worker reading a stale engine-level field. A tile with delta
+// data carries it, and each view the position of its first tuple.
 type workItem struct {
-	alg  algo.Algorithm
-	row  uint32
-	col  uint32
-	data []byte
-	grp  *workGroup
+	alg   algo.Algorithm
+	row   uint32
+	col   uint32
+	data  []byte
+	first int
+	delta *delta.TileDelta
+	grp   *workGroup
 }
 
 // workQueueDepth is the capacity of the engine's work queue, in work items
@@ -487,26 +490,45 @@ type edgeScratch struct {
 	src, dst [tile.V3BlockTuples]uint32
 }
 
-// feed decodes one view of tile (row, col) block by block and hands the
-// kernel each batch of edges on behalf of worker. It is the only path from
-// tile bytes to a kernel, shared by the engine's workers and MemGraph.
-// Every caller hands it checksum-verified (and, for v3, frame-validated)
-// tile data or a merge the encoder just produced, so a block that fails to
-// decode is damage the checksum could not see or a decoder bug: it ends the
-// view and comes back as an *IntegrityError naming the tile, which fails
-// the run.
-func (sc *edgeScratch) feed(a algo.Algorithm, worker int, g *tile.Graph, codec tile.Codec, row, col uint32, data []byte) *IntegrityError {
+// feed decodes one view of tile (row, col), whose first tuple is at
+// position first, block by block and hands the kernel each batch of edges
+// on behalf of worker; with the tile's delta td, less the masked base
+// tuples, and the view at position 0 adds the inserted edges. It is the
+// only path from tile bytes to a kernel, shared by the engine's workers
+// and MemGraph. Every caller hands it checksum-verified and
+// frame-validated tile data, so a block that fails to decode is damage
+// the checksum could not see or a decoder bug: it ends the view and comes
+// back as an *IntegrityError naming the tile, which fails the run.
+func (sc *edgeScratch) feed(a algo.Algorithm, worker int, g *tile.Graph, codec tile.Codec, row, col uint32, data []byte, first int, td *delta.TileDelta) *IntegrityError {
 	rowBase, _ := g.Layout.VertexRange(row)
 	colBase, _ := g.Layout.VertexRange(col)
-	for len(data) > 0 {
+	masked, _ := td.Masked() // dispatchTile checked the error
+	masked = masked[sort.SearchInts(masked, first):]
+	for pos := first; len(data) > 0; {
 		n, rest, err := tile.DecodeBlock(data, codec, rowBase, colBase, &sc.src, &sc.dst)
 		if err != nil {
 			return &IntegrityError{Graph: g.Meta.Name, Tile: g.Layout.DiskIndex(row, col), Row: row, Col: col, Err: err}
 		}
-		a.ProcessEdges(worker, row, col, sc.src[:n], sc.dst[:n])
+		kept := n
+		if len(masked) > 0 && masked[0] < pos+n {
+			kept, masked = delta.DropMasked(sc.src[:n], sc.dst[:n], pos, masked)
+		}
+		if kept > 0 {
+			a.ProcessEdges(worker, row, col, sc.src[:kept], sc.dst[:kept])
+		}
+		pos += n
 		data = rest
 	}
-	return nil
+	if td == nil || first != 0 {
+		return nil
+	}
+	for i := 0; ; {
+		var n int
+		if n, i = td.Inserts(i, sc.src[:], sc.dst[:]); n == 0 {
+			return nil
+		}
+		a.ProcessEdges(worker, row, col, sc.src[:n], sc.dst[:n])
+	}
 }
 
 // worker is one compute goroutine with a stable ID — kernels key their
@@ -517,7 +539,7 @@ func (e *Engine) worker(id int) {
 	var sc edgeScratch
 	for item := range e.work {
 		begin := time.Now()
-		if ie := sc.feed(item.alg, id, e.g, e.codec, item.row, item.col, item.data); ie != nil {
+		if ie := sc.feed(item.alg, id, e.g, e.codec, item.row, item.col, item.data, item.first, item.delta); ie != nil {
 			item.grp.failed.CompareAndSwap(nil, ie)
 		}
 		ws.busyNS.Add(int64(time.Since(begin)))
@@ -551,31 +573,20 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 		}
 		return nil
 	}
-	// Read-time merge: a tile with delta data is dispatched as
-	// base∪delta — masked base tuples dropped, inserted tuples appended.
-	// The merged buffer is fresh, so pooled cache bytes stay the pristine
-	// (checksum-verified) base data and survive view changes.
-	deltaTile := false
-	if td := e.scratch.view.Tile(ref.DiskIdx); td != nil {
-		rb, _ := e.g.Layout.VertexRange(ref.Row)
-		cb, _ := e.g.Layout.VertexRange(ref.Col)
-		merged, err := td.Merge(ref.Data, e.codec, e.g.Layout.TileBits, rb, cb)
-		if err != nil {
-			c := e.g.Layout.CoordAt(ref.DiskIdx)
-			return &IntegrityError{
-				Graph: e.g.Meta.Name, Tile: ref.DiskIdx, Row: c.Row, Col: c.Col,
-				Err: err,
-			}
-		}
-		ref.Data = merged
-		deltaTile = true
-	}
 	// The tile is cut into independently decodable views once, however
 	// many runs ride it: the load-balancing move that keeps all workers
 	// busy on a segment dominated by one dense tile. Work items copy the
 	// view headers, so the slice is reused by the next tile.
 	sc := &e.scratch
 	sc.views = tile.SplitViews(sc.views[:0], ref.Data, e.codec, e.opts.chunkBytes)
+	// A tile with delta data is read as base ∪ delta in edge space (feed):
+	// its work items carry the delta and each view's first tuple position.
+	// The base bytes are never rewritten, so pooled cache bytes stay the
+	// pristine (checksum-verified) base data and survive view changes.
+	td := sc.view.Tile(ref.DiskIdx)
+	if _, err := td.Masked(); err != nil {
+		return &IntegrityError{Graph: e.g.Meta.Name, Tile: ref.DiskIdx, Row: ref.Row, Col: ref.Col, Err: err}
+	}
 	var prevDone chan struct{} // nil: that select case never fires
 	if prev != nil && prev.active {
 		prevDone = prev.done
@@ -584,9 +595,14 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 		if mask&(1<<uint(j)) == 0 || r.finished {
 			continue
 		}
+		first := 0
 		for _, v := range sc.views {
 			grp.pending.Add(1)
-			item := workItem{alg: r.alg, row: ref.Row, col: ref.Col, data: v, grp: grp}
+			item := workItem{alg: r.alg, row: ref.Row, col: ref.Col, data: v, first: first, delta: td, grp: grp}
+			if td != nil {
+				n, _ := tile.Tuples(v, e.codec) // verifySegment walked the tile's framing
+				first += n
+			}
 			select {
 			case e.work <- item:
 				continue
@@ -601,7 +617,7 @@ func (e *Engine) dispatchTile(batch []*runState, mask uint64, ref mem.TileRef, f
 		}
 		r.stats.Chunks += int64(len(sc.views))
 		r.stats.TilesProcessed++
-		if deltaTile {
+		if td != nil {
 			r.stats.DeltaTiles++
 		}
 		if fetchedBytes > 0 {
@@ -785,9 +801,9 @@ type sweepScratch struct {
 	inCache []uint32
 	epoch   uint32
 	// view is the delta snapshot captured at the top of the current
-	// sweep iteration (nil without a delta store); dispatchTile merges
-	// it into every tile it fans out, so mutations become visible at
-	// iteration boundaries and never mid-iteration.
+	// sweep iteration (nil without a delta store); dispatchTile hands its
+	// tile deltas to the work items it fans out, so mutations become
+	// visible at iteration boundaries and never mid-iteration.
 	view *delta.View
 
 	plans  []*segmentPlan

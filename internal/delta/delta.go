@@ -2,10 +2,15 @@
 // log-structured style of GraphChi-DB and BigSparse: edge mutations are
 // made durable in a write-ahead log, applied to an in-memory delta
 // keyed by tile, and periodically flushed to a sorted, checksummed
-// delta snapshot next to the base graph. Readers merge base ∪ delta at
-// dispatch time — the base tile files are never rewritten, so the
-// convert-once read path (checksums, caching, selective fetch) is
-// untouched.
+// delta snapshot next to the base graph. A tile's delta is one sorted
+// key set with presence flags, plus the positions of the base tuples
+// those keys mask. Readers merge base ∪ delta in edge space as they
+// decode: masked positions are dropped from each decoded block and the
+// present keys are handed over as edges. No tile is re-encoded to be
+// read and the base tile files are never rewritten, so the convert-once
+// read path (checksums, caching, selective fetch) is untouched. The
+// package reaches tile bytes only through the tile package's decoder,
+// counter and encoder.
 //
 // Semantics are those of a simple graph layered over the immutable
 // base: an insert ensures the edge is present, a delete ensures it is
@@ -42,10 +47,9 @@ type Op struct {
 // key packs a stored tuple's full endpoint IDs.
 func key(src, dst uint32) uint64 { return uint64(src)<<32 | uint64(dst) }
 
-// TileDelta is one tile's accumulated mutations: a mask over base
-// tuples plus the encoded inserted tuples. Immutable once published in
-// a View (the merge cache below is the one internal, mutex-guarded
-// exception).
+// TileDelta is one tile's accumulated mutations: a sorted key set with
+// presence flags, and the positions of the base tuples it masks.
+// Immutable once published in a View.
 type TileDelta struct {
 	// keys are the stored tuple keys in the delta, ascending, and
 	// present[i] is keys[i]'s desired presence: true means exactly one
@@ -54,41 +58,15 @@ type TileDelta struct {
 	// keep their base multiplicity.
 	keys    []uint64
 	present []bool
-	// filter rejects most keys that are not in keys without a search.
-	filter keyFilter
-	// ins holds the encoded tuples for the present keys, sorted by
-	// (src, dst), in the graph's insert encoding (insCodec: the graph's
-	// own fixed-width codec, or SNB offsets for a v3 graph).
-	ins []byte
-
-	// Merge cache: a delta tile's merged data is identical on every
-	// dispatch of a view generation (the TileDelta is immutable and the
-	// base tile never changes), so the first Merge result is memoized.
-	// The next generation's TileDelta is a new value with an empty cache.
-	mergeMu   sync.Mutex
-	merged    []byte
-	mergedFor int // len(baseData)+1 the cache was built from, 0 when empty
-}
-
-// newTileDelta builds a tile's delta from its ascending keys and their
-// presence flags: the key filter and the insert buffer in the encoding
-// of codec c. widthMask is the graph's tile width minus one.
-func newTileDelta(keys []uint64, present []bool, c tile.Codec, widthMask uint32) *TileDelta {
-	td := &TileDelta{keys: keys, present: present}
-	td.filter.reset(len(keys))
-	for _, k := range keys {
-		td.filter.add(k)
-	}
-	td.rebuildIns(c, widthMask)
-	return td
-}
-
-// find returns the index of key k in td.keys.
-func (td *TileDelta) find(k uint64) (int, bool) {
-	if !td.filter.has(k) {
-		return 0, false
-	}
-	return slices.BinarySearch(td.keys, k)
+	// masked are the positions of the base tuples whose keys are in keys,
+	// ascending: indexes in the tile's tile.DecodeBlock order. Readers
+	// drop them without looking at keys and re-emit each present key
+	// once, which is how an insert deduplicates a multigraph base edge.
+	masked []int
+	bits   uint // the graph's TileBits, for Ins
+	// err is why Open could not compute masked (a base tile that fails
+	// its checksum); reads and writes of the tile fail with it.
+	err error
 }
 
 // keyFilter is a one-hash bitset over a set of tuple keys, 64 bits per
@@ -131,146 +109,96 @@ func (f *keyFilter) has(k uint64) bool {
 	return f.bits[b>>6]&(1<<(b&63)) != 0
 }
 
-// insCodec is the encoding of a TileDelta's ins buffer for a graph using
-// codec c: v3 inserts are staged as fixed-width SNB offset tuples (the
-// offsets always fit — TileBits <= 16) and only block-encoded during
-// Merge; fixed-width graphs stage inserts in their own codec.
-func insCodec(c tile.Codec) tile.Codec {
-	if c == tile.CodecV3 {
-		return tile.CodecSNB
+// Masked returns the positions of the masked base tuples, ascending, or
+// why they are unknown (nil, nil for a nil delta). A reader must not use
+// a tile whose delta has an error. Callers must not modify the slice.
+func (td *TileDelta) Masked() ([]int, error) {
+	if td == nil {
+		return nil, nil
 	}
-	return c
+	return td.masked, td.err
 }
 
-// Ins returns the encoded inserted tuples (sorted). Callers must not
-// modify the slice.
-func (td *TileDelta) Ins() []byte { return td.ins }
-
-// Merge produces the tile's effective data in the graph's codec c: base
-// tuples not masked by the delta plus the inserted tuples (appended for
-// fixed-width codecs, merged into sorted block order for v3). Every key
-// in the delta masks the base: present keys are re-emitted exactly once
-// through Ins, which is how "insert" deduplicates a multigraph base edge
-// down to the simple-graph semantics. baseData may be nil (a delta-only
-// tile) and is never modified, so pooled cache bytes stay pristine. bits
-// is the graph's TileBits.
-//
-// A corrupt base — a trailing partial tuple, or broken v3 block
-// structure — is surfaced as an error instead of being silently dropped,
-// matching what tile.DecodeTuples rejects.
-//
-// The result is memoized: a view's TileDelta is immutable and the base
-// tile's bytes never change, so every dispatch of a view generation
-// returns the same buffer without re-merging. Callers must treat the
-// returned slice as read-only.
-func (td *TileDelta) Merge(baseData []byte, c tile.Codec, bits uint, rowBase, colBase uint32) ([]byte, error) {
-	td.mergeMu.Lock()
-	defer td.mergeMu.Unlock()
-	if td.mergedFor == len(baseData)+1 {
-		return td.merged, nil
+// DropMasked removes from the decoded tuples src[i], dst[i] at positions
+// pos+i those at the leading positions of masked, by copying the runs
+// between them down. It returns how many tuples are kept and the masked
+// positions past the block.
+func DropMasked(src, dst []uint32, pos int, masked []int) (int, []int) {
+	n := len(src)
+	kept, from := 0, 0
+	for ; len(masked) > 0 && masked[0] < pos+n; masked = masked[1:] {
+		m := masked[0] - pos
+		copy(src[kept:], src[from:m])
+		copy(dst[kept:], dst[from:m])
+		kept += m - from
+		from = m + 1
 	}
-	out, err := td.mergeLocked(baseData, c, bits, rowBase, colBase)
-	if err != nil {
-		return nil, err
-	}
-	// The guard is len(baseData)+1 so the zero value (0) never matches,
-	// even for an empty base.
-	td.merged, td.mergedFor = out, len(baseData)+1
-	return out, nil
+	copy(src[kept:], src[from:])
+	copy(dst[kept:], dst[from:])
+	return kept + n - from, masked
 }
 
-// mergeKeyPool recycles the v3 merge path's packed-key scratch across
-// tiles and views: the keys are only an intermediate representation
-// (AppendV3 copies them into the encoded result), so the slice can be
-// reused as soon as one merge finishes. Capacity-capped on return so a
-// single huge tile cannot pin its scratch forever.
-var mergeKeyPool = sync.Pool{New: func() any { return new([]uint32) }}
-
-const maxPooledMergeKeys = 1 << 21 // 8 MiB of uint32 scratch
-
-func (td *TileDelta) mergeLocked(baseData []byte, c tile.Codec, bits uint, rowBase, colBase uint32) ([]byte, error) {
-	if c == tile.CodecV3 {
-		// Decode base and inserts to packed offset keys, drop masked base
-		// tuples, and re-encode; AppendV3 restores sorted block order.
-		kp := mergeKeyPool.Get().(*[]uint32)
-		keys := (*kp)[:0]
-		if want := int(int64(len(baseData)/2) + int64(len(td.ins)/tile.SNBTupleBytes)); cap(keys) < want {
-			keys = make([]uint32, 0, want)
-		}
-		var src, dst [tile.V3BlockTuples]uint32
-		for rest := baseData; len(rest) > 0; {
-			n, next, err := tile.DecodeBlock(rest, c, rowBase, colBase, &src, &dst)
-			if err != nil {
-				*kp = keys[:0]
-				mergeKeyPool.Put(kp)
-				return nil, fmt.Errorf("delta: merge base tile: tile: decode at byte %d: %w", len(baseData)-len(rest), err)
-			}
-			for i, s := range src[:n] {
-				if _, ok := td.find(key(s, dst[i])); !ok {
-					keys = append(keys, tile.V3Key(s-rowBase, dst[i]-colBase, bits))
-				}
-			}
-			rest = next
-		}
-		for i := 0; i+tile.SNBTupleBytes <= len(td.ins); i += tile.SNBTupleBytes {
-			so, do := tile.GetSNB(td.ins[i:])
-			keys = append(keys, tile.V3Key(uint32(so), uint32(do), bits))
-		}
-		out := tile.AppendV3(nil, keys, bits)
-		if cap(keys) <= maxPooledMergeKeys {
-			*kp = keys[:0]
-			mergeKeyPool.Put(kp)
-		}
-		return out, nil
-	}
-	tb := int(c.TupleBytes())
-	if len(baseData)%tb != 0 {
-		return nil, fmt.Errorf("delta: merge base tile: %d bytes is not a whole number of %d-byte tuples (corrupt tile)",
-			len(baseData), tb)
-	}
-	snb := c == tile.CodecSNB
-	out := make([]byte, 0, len(baseData)+len(td.ins))
-	for i := 0; i+tb <= len(baseData); i += tb {
-		var s, d uint32
-		if snb {
-			so, do := tile.GetSNB(baseData[i:])
-			s, d = rowBase+uint32(so), colBase+uint32(do)
-		} else {
-			s, d = tile.GetRaw(baseData[i:])
-		}
-		if _, ok := td.find(key(s, d)); ok {
-			continue
-		}
-		out = append(out, baseData[i:i+tb]...)
-	}
-	return append(out, td.ins...), nil
-}
-
-// rebuildIns regenerates the sorted encoded insert buffer from the
-// present keys. c is the graph's codec; the buffer uses insCodec(c).
-func (td *TileDelta) rebuildIns(c tile.Codec, widthMask uint32) {
-	n := 0
-	for _, p := range td.present {
-		if p {
+// Inserts fills src and dst with the endpoints of the present keys from
+// keys[i] on, as many as fit, and returns how many (0 once none is left)
+// and the key index to continue from.
+func (td *TileDelta) Inserts(i int, src, dst []uint32) (n, next int) {
+	for ; i < len(td.keys) && n < len(src); i++ {
+		if td.present[i] {
+			k := td.keys[i]
+			src[n], dst[n] = uint32(k>>32), uint32(k)
 			n++
 		}
 	}
-	ic := insCodec(c)
-	tb := int(ic.TupleBytes())
-	td.ins = make([]byte, n*tb)
-	j := 0
-	for i, k := range td.keys {
-		if !td.present[i] {
-			continue
-		}
-		s, d := uint32(k>>32), uint32(k)
-		if ic == tile.CodecSNB {
-			tile.PutSNB(td.ins[j*tb:], uint16(s&widthMask), uint16(d&widthMask))
-		} else {
-			tile.PutRaw(td.ins[j*tb:], s, d)
-		}
-		j++
+	return n, i
+}
+
+// Ins returns the inserted tuples as SNB tuples, sorted, built on each
+// call whatever the graph's codec: benchmark/probes.go counts them as
+// len(Ins())/tile.SNBTupleBytes.
+func (td *TileDelta) Ins() []byte {
+	src, dst := make([]uint32, len(td.keys)), make([]uint32, len(td.keys))
+	n, _ := td.Inserts(0, src, dst)
+	return tile.EncodeTuples(tile.CodecSNB, td.bits, src[:n], dst[:n])
+}
+
+// Merge produces the bytes a fresh conversion of the mutated tile would
+// store in the graph's codec c: the base tuples at unmasked positions,
+// then the inserted tuples, through the converter's encoder (which sorts
+// a v3 tile into blocks). baseData may be nil (a delta-only tile) and is
+// never modified; bits is the graph's TileBits. Reads never merge. A
+// corrupt base (what tile.DecodeTuples rejects), or one that ends before
+// the last masked position, is an error.
+func (td *TileDelta) Merge(baseData []byte, c tile.Codec, bits uint, rowBase, colBase uint32) ([]byte, error) {
+	if td.err != nil {
+		return nil, td.err
 	}
+	total, err := tile.Tuples(baseData, c)
+	if err != nil {
+		return nil, fmt.Errorf("delta: merge base tile: %w", err)
+	}
+	if m := len(td.masked); m > 0 && td.masked[m-1] >= total {
+		return nil, fmt.Errorf("delta: merge base tile: masked position %d is past the base's %d tuples",
+			td.masked[m-1], total)
+	}
+	src := make([]uint32, 0, total-len(td.masked)+len(td.keys))
+	dst := make([]uint32, 0, cap(src))
+	var bs, bd [tile.V3BlockTuples]uint32
+	masked, pos := td.masked, 0
+	for rest := baseData; len(rest) > 0; {
+		n, next, err := tile.DecodeBlock(rest, c, rowBase, colBase, &bs, &bd)
+		if err != nil {
+			return nil, fmt.Errorf("delta: merge base tile: tile: decode at byte %d: %w", len(baseData)-len(rest), err)
+		}
+		kept := n
+		if len(masked) > 0 && masked[0] < pos+n {
+			kept, masked = DropMasked(bs[:n], bd[:n], pos, masked)
+		}
+		src, dst = append(src, bs[:kept]...), append(dst, bd[:kept]...)
+		pos += n
+		rest = next
+	}
+	n, _ := td.Inserts(0, src[len(src):cap(src)], dst[len(dst):cap(dst)])
+	return tile.EncodeTuples(c, bits, src[:len(src)+n], dst[:len(dst)+n]), nil
 }
 
 // degPageBits sets the degree overlay's page: 1024 vertices.
@@ -455,6 +383,7 @@ func Open(g *tile.Graph, base string, opts Options) (*Store, error) {
 	if v == nil {
 		v = &View{}
 	}
+	s.maskBase(v)
 	s.seq = v.upto
 
 	// Crash recovery: reapply WAL records past the snapshot horizon.
@@ -483,6 +412,25 @@ func Open(g *tile.Graph, base string, opts Options) (*Store, error) {
 	s.replayStats = st
 	s.view.Store(v)
 	return s, nil
+}
+
+// maskBase sets the masked positions of every tile of v, a view loaded
+// from a snapshot, which records keys alone: every key in a tile's delta
+// masks each of its base occurrences. A tile whose base cannot be read
+// keeps the error instead, so it fails the reads and writes that touch
+// it rather than the whole store.
+func (s *Store) maskBase(v *View) {
+	for di, td := range v.tiles {
+		td.bits = s.g.Layout.TileBits
+		if s.g.TupleCount(di) == 0 {
+			continue
+		}
+		if _, td.err = s.countBase(di, td.keys); td.err == nil {
+			for _, h := range s.scratch.hits {
+				td.masked = append(td.masked, h.pos)
+			}
+		}
+	}
 }
 
 // View returns the current immutable view (never nil).
@@ -600,22 +548,37 @@ type batchKey struct {
 
 // batchTile is what one batch does to one tile.
 type batchTile struct {
-	di      int
-	old     *TileDelta // the tile's delta before the batch, or nil
-	newKeys []uint64   // keys not in old: their base multiplicity is counted
-	dirty   []uint64   // keys whose count the batch changed
+	di           int
+	old          *TileDelta // the tile's delta before the batch, or nil
+	newKeys      []uint64   // keys not in old: their base multiplicity is counted
+	dirty        []uint64   // keys whose count the batch changed
+	hitLo, hitHi int        // the tile's base hits in the batch's hit list
+}
+
+// baseHit is a base tuple whose key is counted: its position, and its key
+// as an index into countBase's sorted keys or applyToView's entries.
+type baseHit struct {
+	pos int
+	key int32
+}
+
+// v3Block is one block of a v3 tile: its head key, its byte offset and
+// the position of its first tuple.
+type v3Block struct {
+	head     uint64
+	off, pos int
 }
 
 // applyScratch is the write path's reusable scratch: one decode block,
-// the base tile buffer, the filter of the keys being counted and their
-// counts, and a v3 tile's block heads and their byte offsets.
+// the base tile buffer, the filter of the keys being counted, their
+// counts and the base tuples that hold them, and a v3 tile's blocks.
 type applyScratch struct {
 	src, dst [tile.V3BlockTuples]uint32
 	buf      []byte
 	filter   keyFilter
 	counts   []uint32
-	heads    []uint64
-	offs     []int
+	hits     []baseHit // ascending by position
+	blocks   []v3Block
 	decoded  int64 // base tuples decoded since Open (BenchmarkApply reports it)
 }
 
@@ -623,16 +586,15 @@ type applyScratch struct {
 // (copy-on-write: untouched tiles and degree pages are shared). changed
 // counts stored tuples whose effective count changed. The work is the
 // batch's: each touched tile's base is decoded once when the batch names
-// keys new to its delta, and each touched tile's key slice is copied
-// once.
+// keys new to its delta, and each touched tile's key and position slices
+// are copied once.
 func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error) {
 	layout, directed := s.g.Layout, s.g.Meta.Directed
-	codec := s.g.Meta.TupleCodec()
-	widthMask := layout.TileWidth() - 1
 
 	// First pass: resolve each stored key the batch names, once. A key in
 	// its tile's delta has a known count; a new key's count is its base
-	// multiplicity, counted from the base tile below.
+	// multiplicity, counted from the base tile below along with the
+	// positions of the tuples that hold it.
 	idx := make(map[uint64]int32, 2*len(ops))
 	ents := make([]batchKey, 0, 2*len(ops))
 	tileIdx := make(map[int]int32)
@@ -652,7 +614,7 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 			bt := &tiles[ti]
 			e := batchKey{tile: ti}
 			if bt.old != nil {
-				if i, ok := bt.old.find(k); ok {
+				if i, ok := slices.BinarySearch(bt.old.keys, k); ok {
 					e.inDelta = true
 					if bt.old.present[i] {
 						e.count = 1
@@ -666,8 +628,12 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 			ents = append(ents, e)
 		})
 	}
+	var hits []baseHit // every tile's, keyed by entry
 	for i := range tiles {
 		bt := &tiles[i]
+		if _, err := bt.old.Masked(); err != nil {
+			return nil, 0, err
+		}
 		if len(bt.newKeys) == 0 || s.g.TupleCount(bt.di) == 0 {
 			continue
 		}
@@ -678,6 +644,11 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 		for j, k := range bt.newKeys {
 			ents[idx[k]].count = int32(counts[j])
 		}
+		bt.hitLo = len(hits)
+		for _, h := range s.scratch.hits {
+			hits = append(hits, baseHit{pos: h.pos, key: idx[bt.newKeys[h.key]]})
+		}
+		bt.hitHi = len(hits)
 	}
 
 	// Second pass: state transitions with exact degree deltas.
@@ -722,8 +693,9 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 		})
 	}
 
-	// Merge each touched tile's sorted changes into its old key slice.
-	tb := insCodec(codec).TupleBytes()
+	// Merge each touched tile's sorted changes into its old key slice, and
+	// the positions of the base tuples its new keys mask into its old
+	// positions.
 	for i := range tiles {
 		bt := &tiles[i]
 		if len(bt.dirty) == 0 {
@@ -732,9 +704,9 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 		slices.Sort(bt.dirty)
 		var oldKeys []uint64
 		var oldPresent []bool
-		var oldIns int
+		var oldMasked []int
 		if bt.old != nil {
-			oldKeys, oldPresent, oldIns = bt.old.keys, bt.old.present, len(bt.old.ins)
+			oldKeys, oldPresent, oldMasked = bt.old.keys, bt.old.present, bt.old.masked
 		}
 		keys := make([]uint64, 0, len(oldKeys)+len(bt.dirty))
 		present := make([]bool, 0, cap(keys))
@@ -744,16 +716,32 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 			keys = append(keys, oldKeys[j:j+at]...)
 			present = append(present, oldPresent[j:j+at]...)
 			if j += at; found {
+				if oldPresent[j] {
+					next.insTuples--
+				}
 				j++
 			}
+			p := ents[idx[k]].count == 1
+			if p {
+				next.insTuples++
+			}
 			keys = append(keys, k)
-			present = append(present, ents[idx[k]].count == 1)
+			present = append(present, p)
 		}
 		keys = append(keys, oldKeys[j:]...)
 		present = append(present, oldPresent[j:]...)
-		td := newTileDelta(keys, present, codec, widthMask)
-		next.tiles[bt.di] = td
-		next.insTuples += int64(len(td.ins)-oldIns) / tb
+		// Keys that joined the delta mask their base tuples too. Keys never
+		// leave, so positions only grow; the first append copies the old.
+		masked := slices.Clip(oldMasked)
+		for _, h := range hits[bt.hitLo:bt.hitHi] {
+			if ents[h.key].inDelta {
+				masked = append(masked, h.pos)
+			}
+		}
+		if len(masked) > len(oldMasked) {
+			slices.Sort(masked)
+		}
+		next.tiles[bt.di] = &TileDelta{keys: keys, present: present, masked: masked, bits: layout.TileBits}
 		// A tile whose delta degenerated to "nothing masked, nothing
 		// inserted" could be dropped, but a mask entry with zero base
 		// occurrences is harmless and keeping it keeps accounting simple.
@@ -761,26 +749,21 @@ func (s *Store) applyToView(cur *View, ops []Op, seq uint64) (*View, int, error)
 	return next, changed, nil
 }
 
-// countBase returns how often each of keys (stored keys of tile di, not
-// yet in its delta; sorted in place) occurs in the base tile. The slice
-// is the store's scratch, valid until the next call. Errors name the
-// tile.
-func (s *Store) countBase(di int, keys []uint64) ([]uint32, error) {
-	counts, err := s.countTile(di, keys)
-	if err != nil {
-		return nil, fmt.Errorf("delta: counting base occurrences in tile %d: %w", di, err)
-	}
-	return counts, nil
-}
-
-// countTile is countBase without the tile in its errors. The tile is read
-// through ReadTile, so its checksum is verified whole. A fixed-width tile
-// is unsorted, so every tuple is decoded. A v3 tile is sorted, and its
-// block heads are its index: every block's frame and head are read, a
-// head below the one before is an error, and only the blocks whose head
-// range can hold a key are decoded (and so validated) in full. Decoded
-// tuples are searched for only when they pass the keys' filter.
-func (s *Store) countTile(di int, keys []uint64) ([]uint32, error) {
+// countBase returns how often each of keys (stored keys of tile di;
+// sorted in place) occurs in the base tile, and leaves the tuples that
+// hold them in sc.hits; both are scratch. Errors name the tile. ReadTile
+// verifies the tile's checksum. An unsorted (fixed-width) tile is decoded
+// whole. A sorted (v3) tile's block heads are its index: every block's
+// frame, head and tuple count are read, a head below the one before is an
+// error, and only the blocks whose head range can hold a key are decoded
+// (and so validated). Decoded tuples are searched for only when they pass
+// the keys' filter.
+func (s *Store) countBase(di int, keys []uint64) (_ []uint32, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("delta: counting base occurrences in tile %d: %w", di, err)
+		}
+	}()
 	sc := &s.scratch
 	data, err := s.g.ReadTile(di, sc.buf)
 	if err != nil {
@@ -794,62 +777,67 @@ func (s *Store) countTile(di int, keys []uint64) ([]uint32, error) {
 	}
 	sc.counts = slices.Grow(sc.counts[:0], len(keys))[:len(keys)]
 	clear(sc.counts)
+	sc.hits = sc.hits[:0]
 	c := s.g.Layout.CoordAt(di)
 	rb, _ := s.g.Layout.VertexRange(c.Row)
 	cb, _ := s.g.Layout.VertexRange(c.Col)
 	codec := s.g.Meta.TupleCodec()
-	if codec != tile.CodecV3 {
-		for rest := data; len(rest) > 0; {
-			if rest, err = sc.countBlock(data, rest, codec, rb, cb, keys); err != nil {
+	if !codec.Sorted() {
+		for rest, pos := data, 0; len(rest) > 0; {
+			n, next, err := sc.countBlock(data, rest, pos, codec, rb, cb, keys)
+			if err != nil {
 				return nil, err
 			}
+			rest, pos = next, pos+n
 		}
 		return sc.counts, nil
 	}
 
-	sc.heads, sc.offs = sc.heads[:0], sc.offs[:0]
-	for rest := data; len(rest) > 0; {
+	sc.blocks = sc.blocks[:0]
+	for rest, pos := data, 0; len(rest) > 0; {
 		off := len(data) - len(rest)
 		src, dst, next, err := tile.V3BlockHead(rest, rb, cb)
 		if err != nil {
 			return nil, fmt.Errorf("tile: decode at byte %d: %w", off, err)
 		}
 		h := key(src, dst)
-		if n := len(sc.heads); n > 0 && h < sc.heads[n-1] {
+		if n := len(sc.blocks); n > 0 && h < sc.blocks[n-1].head {
 			return nil, fmt.Errorf("tile: v3 block at byte %d starts at (%d, %d), below the block before it: blocks out of order",
 				off, src, dst)
 		}
-		sc.heads, sc.offs = append(sc.heads, h), append(sc.offs, off)
-		rest = next
+		sc.blocks = append(sc.blocks, v3Block{head: h, off: off, pos: pos})
+		n, _ := tile.Tuples(rest[:len(rest)-len(next)], codec) // V3BlockHead checked the frame and count
+		rest, pos = next, pos+n
 	}
-	// Block j holds keys in [heads[j], heads[j+1]]: inclusive above, as a
-	// key held more than once can straddle the boundary. keys[:p] are
-	// below the current block's head, so no later block holds them either.
+	// Block j holds keys in [head j, head j+1]: inclusive above, as a key
+	// held more than once can straddle the boundary. keys[:p] are below
+	// the current block's head, so no later block holds them either.
 	p := 0
-	for j, lo := range sc.heads {
-		for p < len(keys) && keys[p] < lo {
+	for j, b := range sc.blocks {
+		for p < len(keys) && keys[p] < b.head {
 			p++
 		}
 		if p == len(keys) {
 			break
 		}
-		if j+1 < len(sc.heads) && keys[p] > sc.heads[j+1] {
+		if j+1 < len(sc.blocks) && keys[p] > sc.blocks[j+1].head {
 			continue
 		}
-		if _, err := sc.countBlock(data, data[sc.offs[j]:], codec, rb, cb, keys); err != nil {
+		if _, _, err := sc.countBlock(data, data[b.off:], b.pos, codec, rb, cb, keys); err != nil {
 			return nil, err
 		}
 	}
 	return sc.counts, nil
 }
 
-// countBlock decodes the leading block of rest, a suffix of the tile data,
-// adds the block's tuples that are among keys to sc.counts, and returns
-// the bytes after the block.
-func (sc *applyScratch) countBlock(data, rest []byte, c tile.Codec, rb, cb uint32, keys []uint64) ([]byte, error) {
+// countBlock decodes the leading block of rest, a suffix of the tile data
+// whose first tuple is at position pos, adds the block's tuples that are
+// among keys to sc.counts and sc.hits, and returns the block's tuple
+// count and the bytes after it.
+func (sc *applyScratch) countBlock(data, rest []byte, pos int, c tile.Codec, rb, cb uint32, keys []uint64) (int, []byte, error) {
 	n, next, err := tile.DecodeBlock(rest, c, rb, cb, &sc.src, &sc.dst)
 	if err != nil {
-		return nil, fmt.Errorf("tile: decode at byte %d: %w", len(data)-len(rest), err)
+		return 0, nil, fmt.Errorf("tile: decode at byte %d: %w", len(data)-len(rest), err)
 	}
 	sc.decoded += int64(n)
 	for i, src := range sc.src[:n] {
@@ -859,9 +847,10 @@ func (sc *applyScratch) countBlock(data, rest []byte, c tile.Codec, rb, cb uint3
 		}
 		if j, ok := slices.BinarySearch(keys, k); ok {
 			sc.counts[j]++
+			sc.hits = append(sc.hits, baseHit{pos: pos + i, key: int32(j)})
 		}
 	}
-	return next, nil
+	return n, next, nil
 }
 
 // Flush writes the current view to a new snapshot generation, rotates

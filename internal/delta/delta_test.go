@@ -369,3 +369,58 @@ func TestDirectedStore(t *testing.T) {
 	}}
 	sameEdges(t, effectiveEdges(t, g, s.View()), storedSet(want, false))
 }
+
+// TestOpenOverCorruptBaseTile pins what a snapshot load does when a delta
+// tile's base fails its checksum, so its masked positions cannot be
+// recomputed: the store opens, reads and writes of that tile fail instead
+// of resurrecting its deleted tuples, and the other tiles keep working.
+func TestOpenOverCorruptBaseTile(t *testing.T) {
+	el := undirected(t)
+	g, base := convert(t, el, "corrupt")
+	s, err := Open(g, base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply([]Op{{Del: true, Src: 0, Dst: 1}, {Del: true, Src: 7, Dst: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	di := g.Layout.DiskIndex(0, 0) // holds (0, 1)
+	off, n := g.TileByteRange(di)
+	if n == 0 {
+		t.Fatal("tile (0, 0) is empty")
+	}
+	data, err := os.ReadFile(g.TilesPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off] ^= 0x01
+	if err := os.WriteFile(g.TilesPath(), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(g, base, Options{})
+	if err != nil {
+		t.Fatalf("one corrupt base tile failed the whole store: %v", err)
+	}
+	defer s.Close()
+	v := s.View()
+	if _, err := v.Tile(di).Masked(); err == nil {
+		t.Fatal("the corrupt tile's delta carries no error")
+	}
+	if _, err := v.Tile(di).Merge(nil, g.Meta.TupleCodec(), g.Layout.TileBits, 0, 0); err == nil {
+		t.Fatal("Merge of the corrupt tile succeeded")
+	}
+	if _, err := s.Apply([]Op{{Src: 0, Dst: 2}}); err == nil {
+		t.Fatal("a write to the corrupt tile succeeded")
+	}
+	other := g.Layout.DiskIndex(1, 2) // holds (7, 8)
+	if _, err := v.Tile(other).Masked(); err != nil {
+		t.Fatalf("a sound tile's delta carries %v", err)
+	}
+	if _, err := s.Apply([]Op{{Src: 7, Dst: 9}}); err != nil {
+		t.Fatalf("a write to a sound tile failed: %v", err)
+	}
+}

@@ -139,10 +139,10 @@ func removeSnapshotsBelow(fsys faultfs.FS, base string, keep int) error {
 }
 
 // parseSnapshot decodes and validates a snapshot file's bytes. g
-// supplies the tuple encoding for rebuilding the per-tile insert
-// buffers and filters and the vertex count for the degree overlay; when
-// nil (structural fsck on an unopenable graph) the buffers, filters and
-// overlay stay empty.
+// supplies the layout the keys are checked against and the vertex count
+// for the degree overlay; when nil (structural fsck on an unopenable
+// graph) the overlay stays empty. The tiles' masked positions are not
+// in the file: Store.maskBase recomputes them from the base.
 func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 	if len(data) < len(snapshotMagic)+4 {
 		return nil, fmt.Errorf("truncated: %d bytes", len(data))
@@ -201,6 +201,9 @@ func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 			prevKey = k
 			keys = append(keys, k)
 			v.maskedKeys++
+			if present[i] {
+				v.insTuples++
+			}
 			if g != nil {
 				src, dst := uint32(k>>32), uint32(k)
 				c := g.Layout.CoordAt(di)
@@ -211,12 +214,7 @@ func parseSnapshot(data []byte, g *tile.Graph) (*View, error) {
 				}
 			}
 		}
-		td := &TileDelta{keys: keys, present: present}
-		if g != nil {
-			td = newTileDelta(keys, present, g.Meta.TupleCodec(), g.Layout.TileWidth()-1)
-			v.insTuples += int64(len(td.ins)) / insCodec(g.Meta.TupleCodec()).TupleBytes()
-		}
-		v.tiles[di] = td
+		v.tiles[di] = &TileDelta{keys: keys, present: present}
 	}
 	if err := need(4); err != nil {
 		return nil, err

@@ -80,6 +80,10 @@ func (c Codec) String() string {
 // the tile's row/column vertex bases) rather than full vertex IDs.
 func (c Codec) SNB() bool { return c != CodecRaw }
 
+// Sorted reports whether a tile in codec c is sorted by (source,
+// destination) across its blocks, its block heads an index: v3 only.
+func (c Codec) Sorted() bool { return c == CodecV3 }
+
 // TupleBytes returns the fixed per-tuple size, or 0 for the
 // variable-width V3 codec.
 func (c Codec) TupleBytes() int64 {
@@ -226,26 +230,16 @@ func v3Frame(data []byte) (payload, rest []byte, err error) {
 	return data[n : n+int(size)], data[n+int(size):], nil
 }
 
-// ValidateV3Frames walks the block framing of a v3 tile without decoding
-// tuple payloads: every length prefix must parse, stay in bounds, and the
-// frames must cover data exactly. The engine runs this on the hot read
-// path after the CRC check (cheap — a handful of varint reads per block);
-// full payload validation is done by DecodeBlock (so by fsck).
-func ValidateV3Frames(data []byte) error {
-	for block := 0; len(data) > 0; block++ {
-		payload, rest, err := v3Frame(data)
-		if err != nil {
-			return fmt.Errorf("tile: v3 block %d: %w", block, err)
-		}
-		count, n := binary.Uvarint(payload)
-		if n <= 0 || count == 0 || count > V3BlockTuples {
-			return fmt.Errorf("tile: v3 block %d has bad tuple count %d", block, count)
-		}
-		// Each tuple is at least two varint bytes.
-		if uint64(len(payload)-n) < 2*count {
-			return fmt.Errorf("tile: v3 block %d payload too short for %d tuples", block, count)
-		}
-		data = rest
+// v3Count reads the tuple count that leads a v3 block's payload and
+// returns it and the bytes it took. Each tuple takes at least two varint
+// bytes, so a payload too short for its count is rejected here.
+func v3Count(payload []byte) (count, k int, err error) {
+	c, k := binary.Uvarint(payload)
+	if k <= 0 || c == 0 || c > V3BlockTuples {
+		return 0, 0, fmt.Errorf("tile: v3 block has bad tuple count %d", c)
 	}
-	return nil
+	if uint64(len(payload)-k) < 2*c {
+		return 0, 0, fmt.Errorf("tile: v3 block payload too short for %d tuples", c)
+	}
+	return int(c), k, nil
 }

@@ -415,11 +415,11 @@ func (c Codec) stage(buf []byte, s, d uint32, bits uint) {
 	mask := uint32(1)<<bits - 1
 	switch c {
 	case CodecSNB:
-		PutSNB(buf, uint16(s&mask), uint16(d&mask))
+		binary.LittleEndian.PutUint32(buf, s&mask|(d&mask)<<16)
 	case CodecV3:
 		binary.LittleEndian.PutUint32(buf, V3Key(s&mask, d&mask, bits))
 	default:
-		PutRaw(buf, s, d)
+		binary.LittleEndian.PutUint64(buf, uint64(s)|uint64(d)<<32)
 	}
 }
 
@@ -472,6 +472,21 @@ func (st *staging) set(slot int64, tuple []byte) {
 		return
 	}
 	copy(st.data[slot*int64(len(tuple)):], tuple)
+}
+
+// EncodeTuples encodes the tuples (src[i], dst[i]) of one tile 2^bits wide,
+// full vertex IDs, in codec c, the way the converter writes a tile: in the
+// given order for a fixed-width codec, sorted into blocks for v3.
+func EncodeTuples(c Codec, bits uint, src, dst []uint32) []byte {
+	st := staging{codec: c, bits: bits}
+	st.alloc(int64(len(src)))
+	for i, s := range src {
+		st.put(int64(i), s, dst[i])
+	}
+	if c == CodecV3 {
+		return AppendV3(nil, st.keys, bits)
+	}
+	return st.data
 }
 
 // spill streams the edges once more and writes each stored tuple as a

@@ -6,11 +6,11 @@ import (
 )
 
 // This file is the read side of every tuple codec: DecodeBlock is the
-// only place that knows how tile bytes become edges (V3BlockHead reads a
-// v3 block's first edge alone), and SplitViews the only place that knows
-// where tile bytes may be cut. Every reader — the engine's workers, fsck,
-// ForEachEdge, the delta write and merge paths — reaches the bytes
-// through these.
+// only place that knows how tile bytes become edges (V3BlockHead and
+// Tuples read block headers alone), and SplitViews the only place that
+// knows where tile bytes may be cut. Every reader — the engine's workers,
+// fsck, ForEachEdge, the delta package — reaches the bytes through these;
+// a tuple's position in a tile is its index in DecodeBlock order.
 
 // DecodeBlock decodes the leading tuples of data, which is in codec c,
 // into src and dst as full vertex IDs, and returns how many it decoded
@@ -64,9 +64,9 @@ func V3BlockHead(data []byte, rowBase, colBase uint32) (src, dst uint32, rest []
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	count, k := binary.Uvarint(payload)
-	if k <= 0 || count == 0 || count > V3BlockTuples {
-		return 0, 0, nil, fmt.Errorf("tile: v3 block has bad tuple count %d", count)
+	_, k, err := v3Count(payload)
+	if err != nil {
+		return 0, 0, nil, err
 	}
 	s, n := binary.Uvarint(payload[k:])
 	if n <= 0 || s > v3MaxField {
@@ -77,6 +77,33 @@ func V3BlockHead(data []byte, rowBase, colBase uint32) (src, dst uint32, rest []
 		return 0, 0, nil, fmt.Errorf("tile: v3 block tuple 0 has corrupt destination field")
 	}
 	return rowBase + uint32(s), colBase + uint32(d), rest, nil
+}
+
+// Tuples returns the number of tuples in data, a tile or a run of its
+// blocks in codec c, without decoding them. It is also the engine's check
+// after the CRC: data must be whole fixed-width tuples, or v3 blocks whose
+// frames and tuple counts hold and that cover data exactly. Full payload
+// validation is DecodeBlock's (so fsck's).
+func Tuples(data []byte, c Codec) (int, error) {
+	if tb := int(c.TupleBytes()); tb > 0 {
+		if len(data)%tb != 0 {
+			return 0, fmt.Errorf("tile: %d bytes is not a whole number of %s tuples", len(data), c)
+		}
+		return len(data) / tb, nil
+	}
+	n := 0
+	for rest := data; len(rest) > 0; {
+		payload, next, err := v3Frame(rest)
+		count := 0
+		if err == nil {
+			count, _, err = v3Count(payload)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("tile: decode at byte %d: %w", len(data)-len(rest), err)
+		}
+		n, rest = n+count, next
+	}
+	return n, nil
 }
 
 // decodeV3Block decodes one length-framed v3 block, validating the frame,
@@ -100,11 +127,10 @@ func decodeV3Block(data []byte, rowBase, colBase uint32, src, dst *[V3BlockTuple
 	if err != nil {
 		return 0, nil, err
 	}
-	count, k := binary.Uvarint(payload)
-	if k <= 0 || count == 0 || count > V3BlockTuples {
-		return 0, nil, fmt.Errorf("tile: v3 block has bad tuple count %d", count)
+	n, k, err := v3Count(payload)
+	if err != nil {
+		return 0, nil, err
 	}
-	n := int(count)
 	// s is the previous tuple's source as a full vertex ID, d its
 	// destination as an in-tile offset (the range check is on offsets).
 	s, d := rowBase, uint32(0)

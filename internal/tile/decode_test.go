@@ -17,7 +17,7 @@ func refDecodeTuples(data []byte, c Codec, rowBase, colBase uint32, fn func(src,
 			return fmt.Errorf("%d bytes is not a whole number of SNB tuples", len(data))
 		}
 		for i := 0; i < len(data); i += SNBTupleBytes {
-			s, d := GetSNB(data[i:])
+			s, d := getSNB(data[i:])
 			fn(rowBase+uint32(s), colBase+uint32(d))
 		}
 		return nil
@@ -28,7 +28,7 @@ func refDecodeTuples(data []byte, c Codec, rowBase, colBase uint32, fn func(src,
 		return fmt.Errorf("%d bytes is not a whole number of raw tuples", len(data))
 	}
 	for i := 0; i < len(data); i += RawTupleBytes {
-		s, d := GetRaw(data[i:])
+		s, d := getRaw(data[i:])
 		fn(s, d)
 	}
 	return nil
@@ -209,7 +209,7 @@ func encodeTuples(c Codec, offs [][2]uint32, rowBase, colBase uint32) []byte {
 	case CodecSNB:
 		out := make([]byte, len(offs)*SNBTupleBytes)
 		for i, o := range offs {
-			PutSNB(out[i*SNBTupleBytes:], uint16(o[0]), uint16(o[1]))
+			putSNB(out[i*SNBTupleBytes:], uint16(o[0]), uint16(o[1]))
 		}
 		return out
 	case CodecV3:
@@ -221,7 +221,7 @@ func encodeTuples(c Codec, offs [][2]uint32, rowBase, colBase uint32) []byte {
 	}
 	out := make([]byte, len(offs)*RawTupleBytes)
 	for i, o := range offs {
-		PutRaw(out[i*RawTupleBytes:], rowBase+o[0], colBase+o[1])
+		putRaw(out[i*RawTupleBytes:], rowBase+o[0], colBase+o[1])
 	}
 	return out
 }

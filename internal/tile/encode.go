@@ -1,9 +1,6 @@
 package tile
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // The SNB (smallest number of bits) tuple encoding, §IV-B: inside tile
 // [i,j] every source vertex lies in [i*2^b, (i+1)*2^b) and every
@@ -11,29 +8,6 @@ import (
 // tile coordinates and only the low b bits of each endpoint are stored.
 // With the paper's b=16 a tuple is 4 bytes: uint16 src offset, uint16 dst
 // offset, little endian.
-
-// PutSNB encodes one tuple into buf[:4].
-func PutSNB(buf []byte, srcOff, dstOff uint16) {
-	binary.LittleEndian.PutUint16(buf[0:2], srcOff)
-	binary.LittleEndian.PutUint16(buf[2:4], dstOff)
-}
-
-// GetSNB decodes one tuple from buf[:4].
-func GetSNB(buf []byte) (srcOff, dstOff uint16) {
-	return binary.LittleEndian.Uint16(buf[0:2]), binary.LittleEndian.Uint16(buf[2:4])
-}
-
-// PutRaw encodes a full 8-byte tuple (no SNB; used by the Figure 10
-// "symmetry only" ablation).
-func PutRaw(buf []byte, src, dst uint32) {
-	binary.LittleEndian.PutUint32(buf[0:4], src)
-	binary.LittleEndian.PutUint32(buf[4:8], dst)
-}
-
-// GetRaw decodes a full 8-byte tuple.
-func GetRaw(buf []byte) (src, dst uint32) {
-	return binary.LittleEndian.Uint32(buf[0:4]), binary.LittleEndian.Uint32(buf[4:8])
-}
 
 // Compact degree encoding, §IV-C: each vertex gets a 2-byte entry. If the
 // degree is below 2^15 it is stored directly with the MSB clear; otherwise

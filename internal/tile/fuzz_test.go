@@ -53,12 +53,7 @@ func FuzzStartFile(f *testing.F) {
 		if numTiles < 0 || numTiles > 1024 {
 			t.Skip()
 		}
-		dir := t.TempDir()
-		p := filepath.Join(dir, "s")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Skip()
-		}
-		start, err := readStart(p, numTiles)
+		start, err := parseStart(data, "s", numTiles)
 		if err != nil {
 			return
 		}
@@ -130,8 +125,8 @@ func FuzzDecodeTuples(f *testing.F) {
 			// and a tile the decoder accepts must pass the cheap framing
 			// walk the engine runs (the walk alone cannot see varint
 			// damage inside a well-framed payload).
-			if err == nil && ValidateV3Frames(data) != nil {
-				t.Fatalf("decodable data fails ValidateV3Frames: %v", ValidateV3Frames(data))
+			if _, ferr := Tuples(data, CodecV3); err == nil && ferr != nil {
+				t.Fatalf("decodable data fails Tuples: %v", ferr)
 			}
 		default:
 			w := int(c.TupleBytes())
@@ -166,7 +161,7 @@ func FuzzV3RoundTrip(f *testing.F) {
 		}
 		want := append([]uint32(nil), keys...)
 		data := AppendV3(nil, keys, uint(bits))
-		if err := ValidateV3Frames(data); err != nil {
+		if _, err := Tuples(data, CodecV3); err != nil {
 			t.Fatalf("encoder produced invalid framing: %v", err)
 		}
 		// Decoded from a tight copy and compared block by block with the
@@ -193,7 +188,7 @@ func FuzzV3RoundTrip(f *testing.F) {
 		views := SplitViews(nil, data, CodecV3, 16)
 		total := 0
 		for i, v := range views {
-			if err := ValidateV3Frames(v); err != nil {
+			if _, err := Tuples(v, CodecV3); err != nil {
 				t.Fatalf("chunk not block-aligned: %v", err)
 			}
 			requireSameDecode(t, fmt.Sprintf("view %d", i), v, CodecV3, 0, 0)
@@ -219,7 +214,7 @@ func FuzzV3Corrupt(f *testing.F) {
 		mut := append([]byte(nil), data...)
 		mut[((pos%len(mut))+len(mut))%len(mut)] ^= xor
 		requireSameDecode(t, "corrupted tile", mut, CodecV3, 0, 0)
-		_ = ValidateV3Frames(mut)
+		_, _ = Tuples(mut, CodecV3)
 		total := 0
 		for _, v := range SplitViews(nil, mut, CodecV3, 8) {
 			total += len(v)

@@ -215,14 +215,6 @@ func (g *Graph) Degrees() (DegreeSource, error) {
 	return decodeDegreeFile(data, int(g.Meta.NumVertices), g.Meta.DegreeFormat)
 }
 
-func readStart(path string, numTiles int) ([]int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return parseStart(data, path, numTiles)
-}
-
 // parseStartCodec decodes the start-edge file for a codec: fixed-width
 // codecs store tuple prefix sums only; v3 appends a second array of byte
 // offset prefix sums (same length, same invariants) because tile byte

